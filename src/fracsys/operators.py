@@ -2,12 +2,29 @@
 bilinear form and the order-s energy, plus the independent spectral oracle.
 
 All real-space evaluations of one kernel on one grid consume the same
-quadrature weights (see quadrature.py), so the pointwise identity
+quadrature weights (see quadrature.py), laid out as one symmetric offset
+array per scheme: [w[::-1], 0, w] on the line, the plane weights in 2-d, the
+torus weights on periodic grids.  Every evaluation is built from the one
+correlation (W*f)(x) = sum_k W_k f(x+k): an FFT correlation over the values
+padded by the rule's exterior data in free space, a circular one on the
+torus.  L u = W*u - S u (S = sum_k W_k) plus the closed-form tail, and the
+bilinear form and the energy follow from the polarization identity
+
+    sum_k W_k (a(x) - a(x+k)) (b(x) - b(x+k))
+        = S a b - (a (W*b) + b (W*a)) + W*(a b).
+
+The pointwise identity
 
     -L(v^2)(x) + 2 v(x) L v(x) + 2 B(v, v)(x) = 0
 
-holds to rounding for every admissible kernel and grid: per sampled point y,
-2 v(x) (v(x) - v(y)) - (v(x) - v(y))^2 equals v(x)^2 - v(y)^2 exactly.
+holds exactly in exact arithmetic, term by term per sampled point y
+(2 v(x) (v(x) - v(y)) - (v(x) - v(y))^2 equals v(x)^2 - v(y)^2).  In floating
+point it holds to the rounding of the correlations, not by per-node exact
+cancellation; that stays well inside the 1e-12 relative gate of
+verify.square_identity_check.  Each field is shifted by the midpoint of its stored range
+before it is correlated: L, B and the energy ignore constants, the shift
+keeps the correlated values (and so the rounding) small, and a constant
+field gives exactly zero.
 
 Evaluations are pure functions of immutable inputs; applying them at many
 points concurrently needs no shared mutable state.
@@ -16,14 +33,17 @@ points concurrently needs no shared mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import next_fast_len
+from scipy.linalg import toeplitz
 
 from .errors import DomainError
 from .fields import ExteriorRule, GridSpec, SampledField
 from .kernels import KernelSpec, make_fractional_kernel
-from .quadrature import QuadratureScheme, scheme_for
+from .quadrature import (QuadratureScheme, _line_base_weights, _Radial1D,
+                         _torus_fold, scheme_for)
 
 __all__ = [
     "EnergyValue",
@@ -40,57 +60,112 @@ __all__ = [
 ]
 
 
-# -- extended value tables ----------------------------------------------------
+# -- the correlation core ------------------------------------------------------
 
 
-def _extended_line(u: SampledField, J: int, mask_exterior=False):
-    """Values at positions ax[0]-J*h .. ax[-1]+J*h; exterior positions come
-    from the rule (or zero with mask_exterior, which also returns the
-    interior indicator)."""
-    grid = u.grid
+def _offset_weights(scheme: QuadratureScheme) -> np.ndarray:
+    """The scheme's weights as one array: indexed by torus shift on periodic
+    grids, centred on the zero offset in free space."""
+    if scheme.torus_weights is not None:
+        return scheme.torus_weights
+    if scheme.plane_weights is not None:
+        return scheme.plane_weights
+    w = scheme.line_weights
+    return np.concatenate([w[::-1], [0.0], w])
+
+
+def _correlator(W: np.ndarray, shape: tuple, periodic: bool):
+    """f -> sum over offsets k of W[k] f(x + k) at every stored node x, for f
+    of the given shape.  On the torus the sum wraps (a circular FFT
+    correlation); in free space f holds the values padded by W's half-width
+    and only the stored nodes are kept ('valid' mode: a real FFT correlation
+    zero-padded so that nothing wraps)."""
+    if periodic:
+        Fw = np.conj(np.fft.fftn(W))
+        return lambda f: np.real(np.fft.ifftn(np.fft.fftn(f) * Fw))
+    size = tuple(next_fast_len(n, real=True) for n in shape)
+    axes = tuple(range(len(shape)))
+    keep = tuple(slice(0, n - k + 1) for n, k in zip(shape, W.shape))
+    Fw = np.conj(np.fft.rfftn(W, s=size, axes=axes))
+    return lambda f: np.fft.irfftn(np.fft.rfftn(f, s=size, axes=axes) * Fw,
+                                   s=size, axes=axes)[keep]
+
+
+def _pair_sum(corr, S, a, b, Ea, Eb):
+    """sum over k of W[k] (a(x) - Ea(x+k)) . (b(x) - Eb(x+k)), summed over
+    components, through the polarization identity.  S is sum(W), or W*chi
+    when Ea, Eb are masked by chi.  Grouping makes it bit-symmetric in a, b."""
+    total = 0.0
+    for c in range(a.shape[-1]):
+        cb = corr(Eb[..., c])
+        ca = cb if Ea is Eb else corr(Ea[..., c])
+        total = total + (S * (a[..., c] * b[..., c])
+                         - (a[..., c] * cb + b[..., c] * ca)
+                         + corr(Ea[..., c] * Eb[..., c]))
+    return total
+
+
+def _window(E: np.ndarray, W: np.ndarray, idx: tuple, periodic: bool):
+    """The values of E that W weighs at the stored node idx, aligned with W."""
+    if periodic:
+        return np.roll(E, [-k for k in idx], axis=tuple(range(len(idx))))
+    return E[tuple(slice(k, k + n) for k, n in zip(idx, W.shape))]
+
+
+# -- value tables -------------------------------------------------------------
+
+
+def _padded_points(grid: GridSpec, M: int):
+    """Node coordinates of the grid padded by M nodes per side, and the
+    interior-ball indicator of each."""
     ax = grid.axis()
-    pos = np.concatenate([ax[0] + grid.h * np.arange(-J, 0), ax,
-                          ax[-1] + grid.h * np.arange(1, J + 1)])
-    vals = np.zeros((pos.size, u.m))
-    chi = np.abs(pos) < grid.radius - 1e-12
-    stored = np.abs(pos) <= grid.extent + 1e-12
-    v = np.asarray(u.values).reshape(-1, u.m)
-    vals[J : J + ax.size] = v
-    out = ~stored
-    if np.any(out):
-        try:
-            vals[out] = u.exterior.values(pos[out, None], u.m)
-        except Exception as exc:  # noqa: BLE001 - rule failures become domain errors
-            raise DomainError(f"exterior rule undefined at required radii: {exc}")
-    if mask_exterior:
-        vals = vals * chi[:, None]
-        return pos, vals, chi
-    return pos, vals
-
-
-def _extended_plane(u: SampledField, M: int, mask_exterior=False):
-    grid = u.grid
-    ax = grid.axis()
-    n = ax.size
     full = np.concatenate([ax[0] + grid.h * np.arange(-M, 0), ax,
                            ax[-1] + grid.h * np.arange(1, M + 1)])
-    P1, P2 = np.meshgrid(full, full, indexing="ij")
-    pts = np.stack([P1, P2], axis=-1)
-    r = np.sqrt(P1**2 + P2**2)
-    chi = r < grid.radius - 1e-12
-    stored = np.maximum(np.abs(P1), np.abs(P2)) <= grid.extent + 1e-12
-    vals = np.zeros((full.size, full.size, u.m))
-    vals[M : M + n, M : M + n] = np.asarray(u.values)
-    out = ~stored
+    pts = np.stack(np.meshgrid(*([full] * grid.dim), indexing="ij"), axis=-1)
+    chi = np.sqrt(np.sum(pts * pts, axis=-1)) < grid.radius - 1e-12
+    return pts, chi
+
+
+def _rule_values(rule: ExteriorRule, pts: np.ndarray, m: int) -> np.ndarray:
+    try:
+        return rule.values(pts, m)
+    except Exception as exc:  # noqa: BLE001 - rule failures become domain errors
+        raise DomainError(f"exterior rule undefined at required radii: {exc}")
+
+
+def _tail_directions(dim: int):
+    """One direction per tail_mass: both rays in 1-d, one (the rule's limit
+    is direction independent) outside the truncation square in 2-d."""
+    return (np.array([1.0]), np.array([-1.0])) if dim == 1 else (np.array([1.0, 0.0]),)
+
+
+class _Table(NamedTuple):
+    v: np.ndarray              # stored values, shifted
+    E: np.ndarray              # values the correlation reads, shifted
+    chi: Optional[np.ndarray]  # interior indicator on E's positions (free space)
+    g: Optional[list]          # shifted far limits per tail direction, or None
+
+
+def _table(u: SampledField, M: int) -> _Table:
+    """u shifted by the midpoint of its stored range, on the torus or padded by M
+    nodes per side with the exterior rule's values beyond the stored nodes.
+    g is [] on the torus (images folded in, no tail) and None when the rule
+    has no closed-form far field."""
+    grid = u.grid
+    flat = np.asarray(u.values).reshape(-1, u.m)
+    ref = 0.5 * (np.max(flat, axis=0) + np.min(flat, axis=0))
+    v = np.asarray(u.values) - ref
+    if grid.periodic:
+        return _Table(v, v, None, [])
+    pts, chi = _padded_points(grid, M)
+    E = np.zeros((*chi.shape, u.m))
+    E[(slice(M, M + grid.shape[0]),) * grid.dim] = v
+    out = np.max(np.abs(pts), axis=-1) > grid.extent + 1e-12
     if np.any(out):
-        try:
-            vals[out] = u.exterior.values(pts[out], u.m)
-        except Exception as exc:  # noqa: BLE001
-            raise DomainError(f"exterior rule undefined at required radii: {exc}")
-    if mask_exterior:
-        vals = vals * chi[..., None]
-        return pts, vals, chi
-    return pts, vals
+        E[out] = _rule_values(u.exterior, pts[out], u.m) - ref
+    limits = u.exterior.far_limits(u.m)
+    g = None if limits is None else [limits(d) - ref for d in _tail_directions(grid.dim)]
+    return _Table(v, E, chi, g)
 
 
 def _far_magnitude(u: SampledField) -> float:
@@ -108,90 +183,6 @@ def _far_magnitude(u: SampledField) -> float:
     return max(mags)
 
 
-# -- core applications --------------------------------------------------------
-
-
-def _apply_line(u: SampledField, scheme: QuadratureScheme):
-    grid = u.grid
-    w = scheme.line_weights
-    J = w.size
-    _, E = _extended_line(u, J)
-    n = grid.axis().size
-    center = E[J : J + n]
-    acc = np.zeros_like(center)
-    for j in range(1, J + 1):
-        acc += w[j - 1] * (E[J + j : J + j + n] + E[J - j : J - j + n] - 2.0 * center)
-    limits = u.exterior.far_limits(u.m)
-    est = 0.0
-    if limits is not None:
-        gp = limits(np.array([1.0]))
-        gm = limits(np.array([-1.0]))
-        acc += scheme.tail_mass * (gp + gm - 2.0 * center)
-    else:
-        est = 4.0 * _far_magnitude(u) * scheme.tail_upper
-    return acc, est
-
-
-def _apply_periodic_line(u: SampledField, scheme: QuadratureScheme):
-    W = scheme.torus_weights
-    v = np.asarray(u.values)
-    Fw = np.conj(np.fft.fft(W))
-    S = float(np.sum(W))
-    out = np.empty_like(v)
-    for c in range(u.m):
-        corr = np.real(np.fft.ifft(np.fft.fft(v[:, c]) * Fw))
-        out[:, c] = corr - S * v[:, c]
-    return out, 0.0
-
-
-def _apply_plane(u: SampledField, scheme: QuadratureScheme):
-    W = scheme.plane_weights
-    M = W.shape[0] // 2
-    _, E = _extended_plane(u, M)
-    S = float(np.sum(W))
-    Wf = W[::-1, ::-1]
-    v = np.asarray(u.values)
-    out = np.empty_like(v)
-    for c in range(u.m):
-        corr = fftconvolve(E[..., c], Wf, mode="valid")
-        out[..., c] = corr - S * v[..., c]
-    limits = u.exterior.far_limits(u.m)
-    est = 0.0
-    if limits is not None:
-        g = limits(np.array([1.0, 0.0]))
-        out += scheme.tail_mass * (g[None, None, :] - v)
-    else:
-        est = 4.0 * _far_magnitude(u) * scheme.tail_upper
-    return out, est
-
-
-def _apply_periodic_plane(u: SampledField, scheme: QuadratureScheme):
-    W = scheme.torus_weights
-    v = np.asarray(u.values)
-    Fw = np.conj(np.fft.fft2(W))
-    S = float(np.sum(W))
-    out = np.empty_like(v)
-    for c in range(u.m):
-        corr = np.real(np.fft.ifft2(np.fft.fft2(v[..., c]) * Fw))
-        out[..., c] = corr - S * v[..., c]
-    return out, 0.0
-
-
-def apply_LK_field(u: SampledField, kernel: KernelSpec):
-    """L_K u at every stored node.  Returns (values, truncation_estimate);
-    values has the field's shape, the estimate is a scalar bound on the
-    neglected tail (0 when the exterior rule has a closed-form far field)."""
-    scheme = scheme_for(kernel, u.grid)
-    if u.grid.dim == 1:
-        fn = _apply_periodic_line if u.grid.periodic else _apply_line
-    else:
-        fn = _apply_periodic_plane if u.grid.periodic else _apply_plane
-    vals, est = fn(u, scheme)
-    if u.grid.dim == 1:
-        return vals.reshape(*u.grid.shape, u.m), est
-    return vals, est
-
-
 def _interior_node_index(u: SampledField, x):
     idx = u.grid.index_of(x)
     pts = u.grid.points()
@@ -201,13 +192,41 @@ def _interior_node_index(u: SampledField, x):
     return idx
 
 
+# -- L_K ------------------------------------------------------------------------
+
+
+def _apply(u: SampledField, kernel: KernelSpec, idx=None):
+    """L_K u at every stored node, or at the node idx only (one dot product)."""
+    scheme = scheme_for(kernel, u.grid)
+    W = _offset_weights(scheme)
+    t = _table(u, W.shape[0] // 2)
+    if idx is None:
+        corr = _correlator(W, t.E.shape[:-1], u.grid.periodic)
+        v = t.v
+        WE = np.stack([corr(t.E[..., c]) for c in range(u.m)], axis=-1)
+    else:
+        v = t.v[idx]
+        WE = np.tensordot(W, _window(t.E, W, idx, u.grid.periodic), axes=W.ndim)
+    out = WE - float(np.sum(W)) * v
+    for g in t.g or ():
+        out += scheme.tail_mass * (g - v)
+    est = 0.0 if t.g is not None else 4.0 * _far_magnitude(u) * scheme.tail_upper
+    return out, est
+
+
+def apply_LK_field(u: SampledField, kernel: KernelSpec):
+    """L_K u at every stored node.  Returns (values, truncation_estimate);
+    values has the field's shape, the estimate is a scalar bound on the
+    neglected tail (0 when the exterior rule has a closed-form far field)."""
+    return _apply(u, kernel)
+
+
 def apply_LK(u: SampledField, kernel: KernelSpec, x) -> float:
     """L_K u(x) for a scalar field at an interior grid node."""
     if u.m != 1:
         raise DomainError("apply_LK expects a scalar field; use components")
-    idx = _interior_node_index(u, x)
-    vals, _ = apply_LK_field(u, kernel)
-    return float(vals[idx][0])
+    vals, _ = _apply(u, kernel, _interior_node_index(u, x))
+    return float(vals[0])
 
 
 def apply_fractional_laplacian_field(u: SampledField, s: float):
@@ -220,9 +239,9 @@ def apply_fractional_laplacian_field(u: SampledField, s: float):
 def apply_fractional_laplacian(u: SampledField, s: float, x) -> float:
     if u.m != 1:
         raise DomainError("pointwise evaluation expects a scalar field")
-    idx = _interior_node_index(u, x)
-    vals, _ = apply_fractional_laplacian_field(u, s)
-    return float(vals[idx][0])
+    vals, _ = _apply(u, make_fractional_kernel(u.grid.dim, s),
+                     _interior_node_index(u, x))
+    return -float(vals[0])
 
 
 # -- bilinear form ------------------------------------------------------------
@@ -233,95 +252,37 @@ def _check_same_discretization(u: SampledField, w: SampledField):
         raise DomainError("fields must share one grid")
 
 
-def _bilinear_line(u, w, scheme):
-    J = scheme.line_weights.size
-    _, Eu = _extended_line(u, J)
-    _, Ew = _extended_line(w, J)
-    n = u.grid.axis().size
-    cu, cw = Eu[J : J + n], Ew[J : J + n]
-    acc = np.zeros(n)
-    for j in range(1, J + 1):
-        du_p = cu - Eu[J + j : J + j + n]
-        dw_p = cw - Ew[J + j : J + j + n]
-        du_m = cu - Eu[J - j : J - j + n]
-        dw_m = cw - Ew[J - j : J - j + n]
-        acc += scheme.line_weights[j - 1] * 0.5 * (
-            np.sum(du_p * dw_p, axis=-1) + np.sum(du_m * dw_m, axis=-1))
-    est = 0.0
-    lu, lw = u.exterior.far_limits(u.m), w.exterior.far_limits(w.m)
-    if lu is not None and lw is not None:
-        for d in (1.0, -1.0):
-            gu, gw = lu(np.array([d])), lw(np.array([d]))
-            acc += scheme.tail_mass * 0.5 * np.sum((cu - gu) * (cw - gw), axis=-1)
+def _bilinear(u: SampledField, w: SampledField, kernel: KernelSpec, idx=None):
+    """B_K(u, w) at every stored node, or at the node idx only."""
+    _check_same_discretization(u, w)
+    scheme = scheme_for(kernel, u.grid)
+    W = _offset_weights(scheme)
+    tu = _table(u, W.shape[0] // 2)
+    tw = tu if w is u else _table(w, W.shape[0] // 2)
+    if idx is None:
+        corr = _correlator(W, tu.E.shape[:-1], u.grid.periodic)
+        a, b = tu.v, tw.v
+        acc = 0.5 * _pair_sum(corr, float(np.sum(W)), a, b, tu.E, tw.E)
     else:
-        est = 2.0 * _far_magnitude(u) * _far_magnitude(w) * scheme.tail_upper
-    return acc, est
-
-
-def _bilinear_fft(u, w, scheme):
-    """B through correlations: 2 B = S uw - u (W*w) - w (W*u) + W*(uw)."""
-    periodic = u.grid.periodic
-    if u.grid.dim == 1 and periodic:
-        W = scheme.torus_weights
-        corr = lambda f: np.real(np.fft.ifft(np.fft.fft(f) * np.conj(np.fft.fft(W))))
-        S = float(np.sum(W))
-        vu, vw = np.asarray(u.values), np.asarray(w.values)
-        acc = np.zeros(u.grid.shape)
-        for c in range(u.m):
-            a, b = vu[..., c], vw[..., c]
-            acc += 0.5 * (S * a * b - a * corr(b) - b * corr(a) + corr(a * b))
-        return acc, 0.0
-    if u.grid.dim == 2 and periodic:
-        W = scheme.torus_weights
-        Fw = np.conj(np.fft.fft2(W))
-        corr = lambda f: np.real(np.fft.ifft2(np.fft.fft2(f) * Fw))
-        S = float(np.sum(W))
-        vu, vw = np.asarray(u.values), np.asarray(w.values)
-        acc = np.zeros(u.grid.shape)
-        for c in range(u.m):
-            a, b = vu[..., c], vw[..., c]
-            acc += 0.5 * (S * a * b - a * corr(b) - b * corr(a) + corr(a * b))
-        return acc, 0.0
-    # 2-d free space
-    W = scheme.plane_weights
-    M = W.shape[0] // 2
-    Wf = W[::-1, ::-1]
-    _, Eu = _extended_plane(u, M)
-    _, Ew = _extended_plane(w, M)
-    S = float(np.sum(W))
-    vu, vw = np.asarray(u.values), np.asarray(w.values)
-    acc = np.zeros(u.grid.shape)
-    corr = lambda f: fftconvolve(f, Wf, mode="valid")
-    for c in range(u.m):
-        a, b = vu[..., c], vw[..., c]
-        acc += 0.5 * (S * a * b - a * corr(Ew[..., c]) - b * corr(Eu[..., c])
-                      + corr(Eu[..., c] * Ew[..., c]))
-    est = 0.0
-    lu, lw = u.exterior.far_limits(u.m), w.exterior.far_limits(w.m)
-    if lu is not None and lw is not None:
-        gu, gw = lu(np.array([1.0, 0.0])), lw(np.array([1.0, 0.0]))
-        diff = 0.5 * np.sum((vu - gu[None, None, :]) * (vw - gw[None, None, :]), axis=-1)
-        acc += scheme.tail_mass * diff
-    else:
-        est = 2.0 * _far_magnitude(u) * _far_magnitude(w) * scheme.tail_upper
-    return acc, est
+        a, b = tu.v[idx], tw.v[idx]
+        diff = np.sum((a - _window(tu.E, W, idx, u.grid.periodic))
+                      * (b - _window(tw.E, W, idx, u.grid.periodic)), axis=-1)
+        acc = 0.5 * float(np.tensordot(W, diff, axes=W.ndim))
+    if tu.g is None or tw.g is None:
+        return acc, 2.0 * _far_magnitude(u) * _far_magnitude(w) * scheme.tail_upper
+    for gu, gw in zip(tu.g, tw.g):
+        acc = acc + 0.5 * scheme.tail_mass * np.sum((a - gu) * (b - gw), axis=-1)
+    return acc, 0.0
 
 
 def bilinear_form_field(u: SampledField, w: SampledField, kernel: KernelSpec):
     """B_K(u, w) at every stored node; nonnegative for u = w."""
-    _check_same_discretization(u, w)
-    scheme = scheme_for(kernel, u.grid)
-    if u.grid.dim == 1 and not u.grid.periodic:
-        vals, est = _bilinear_line(u, w, scheme)
-    else:
-        vals, est = _bilinear_fft(u, w, scheme)
-    return vals, est
+    return _bilinear(u, w, kernel)
 
 
 def bilinear_form(u: SampledField, w: SampledField, kernel: KernelSpec, x) -> float:
-    idx = _interior_node_index(u, x)
-    vals, _ = bilinear_form_field(u, w, kernel)
-    return float(vals[idx])
+    vals, _ = _bilinear(u, w, kernel, _interior_node_index(u, x))
+    return float(vals)
 
 
 # -- energy --------------------------------------------------------------------
@@ -345,89 +306,42 @@ def s_energy(u: SampledField, s: float) -> EnergyValue:
     plus half-weighted interior-exterior sum, diagonal handled by the shared
     near-field moment rule."""
     grid = u.grid
-    kernel = make_fractional_kernel(grid.dim, s)
-    scheme = scheme_for(kernel, grid)
+    if grid.dim == 2 and grid.periodic:
+        raise DomainError("s_energy supports 1-d grids and free-space 2-d grids")
+    scheme = scheme_for(make_fractional_kernel(grid.dim, s), grid)
     hvol = grid.h**grid.dim
-    if grid.dim == 1 and not grid.periodic:
-        w = scheme.line_weights
-        J = w.size
-        pos, E, chi = _extended_line(u, J, mask_exterior=True)
-        _, Efull = _extended_line(u, J)
-        n = grid.axis().size
-        ci = chi[J : J + n]
-        center = Efull[J : J + n]
-        g_int = np.zeros(n)
-        g_all = np.zeros(n)
-        for j in range(1, J + 1):
-            for sl in (slice(J + j, J + j + n), slice(J - j, J - j + n)):
-                diff_all = np.sum((center - Efull[sl]) ** 2, axis=-1)
-                m = chi[sl]
-                g_all += w[j - 1] * diff_all
-                g_int += w[j - 1] * diff_all * m
-        limits = u.exterior.far_limits(u.m)
-        tail_closed = 0.0
-        if limits is not None:
-            for d in (1.0, -1.0):
-                g = limits(np.array([d]))
-                tail_closed += float(np.sum(
-                    scheme.tail_mass * np.sum((center - g) ** 2, axis=-1)[ci]))
-        interior = 0.25 * hvol * float(np.sum(g_int[ci]))
-        tail = 0.5 * hvol * (float(np.sum((g_all - g_int)[ci])) + tail_closed)
-        return EnergyValue(interior, tail)
-    if grid.dim == 1 and grid.periodic:
+    W = _offset_weights(scheme)
+    t = _table(u, W.shape[0] // 2)
+    if grid.periodic:
         # principal-window pairs count as interior, image pairs as tail
-        N = grid.axis().size
         base = _line_base_for_periodic(scheme)
-        w_per = scheme.line_weights
-        v = np.asarray(u.values)
-        g_int = np.zeros(N)
-        g_img = np.zeros(N)
-        for j in range(1, w_per.size + 1):
-            diff = np.sum((v - np.roll(v, -j, axis=0)) ** 2, axis=-1)
-            diffm = np.sum((v - np.roll(v, j, axis=0)) ** 2, axis=-1)
-            both = diff + diffm
-            g_int += base[j - 1] * both
-            g_img += (w_per[j - 1] - base[j - 1]) * both
-        return EnergyValue(0.25 * hvol * float(np.sum(g_int)),
-                           0.5 * hvol * float(np.sum(g_img)))
-    if grid.dim == 2 and not grid.periodic:
-        W = scheme.plane_weights
-        M = W.shape[0] // 2
-        Wf = W[::-1, ::-1]
-        _, Efull = _extended_plane(u, M)
-        _, Emask, chi_ext = _extended_plane(u, M, mask_exterior=True)
-        n = grid.axis().size
-        chi_grid = chi_ext[M : M + n, M : M + n]
-        v = np.asarray(u.values)
-        S = float(np.sum(W))
-        g_all = np.zeros(grid.shape)
-        g_int = np.zeros(grid.shape)
-        corr = lambda f: fftconvolve(f, Wf, mode="valid")
-        chi_f = chi_ext.astype(float)
-        for c in range(u.m):
-            a = v[..., c]
-            E = Efull[..., c]
-            g_all += S * a * a - 2.0 * a * corr(E) + corr(E * E)
-            g_int += (corr(chi_f) * a * a - 2.0 * a * corr(E * chi_f)
-                      + corr(E * E * chi_f))
-        limits = u.exterior.far_limits(u.m)
-        tail_closed = 0.0
-        if limits is not None:
-            g = limits(np.array([1.0, 0.0]))
-            tail_closed = float(np.sum(
-                scheme.tail_mass * np.sum((v - g) ** 2, axis=-1)[chi_grid]))
-        interior = 0.25 * hvol * float(np.sum(g_int[chi_grid]))
-        tail = 0.5 * hvol * (float(np.sum((g_all - g_int)[chi_grid])) + tail_closed)
-        return EnergyValue(interior, max(tail, 0.0))
-    raise DomainError("s_energy supports 1-d grids and free-space 2-d grids")
+        parts = []
+        for Wp in (_torus_fold(base, grid.shape[0]),
+                   _torus_fold(scheme.line_weights - base, grid.shape[0])):
+            corr = _correlator(Wp, grid.shape, True)
+            parts.append(float(np.sum(_pair_sum(corr, float(np.sum(Wp)),
+                                                t.v, t.v, t.E, t.E))))
+        return EnergyValue(0.25 * hvol * parts[0], 0.5 * hvol * parts[1])
+    corr = _correlator(W, t.chi.shape, False)
+    chi = t.chi.astype(float)
+    Em = t.E * chi[..., None]
+    g_all = _pair_sum(corr, float(np.sum(W)), t.v, t.v, t.E, t.E)
+    g_int = _pair_sum(corr, corr(chi), t.v, t.v, Em, Em)
+    inside = grid.interior_mask()
+    tail_closed = 0.0
+    for g in t.g or ():
+        tail_closed += float(np.sum(
+            scheme.tail_mass * np.sum((t.v - g) ** 2, axis=-1)[inside]))
+    interior = 0.25 * hvol * float(np.sum(g_int[inside]))
+    tail = 0.5 * hvol * (float(np.sum((g_all - g_int)[inside])) + tail_closed)
+    return EnergyValue(interior, max(tail, 0.0) if grid.dim == 2 else tail)
 
 
 def _line_base_for_periodic(scheme: QuadratureScheme) -> np.ndarray:
-    from .quadrature import _Radial1D, _line_base_weights, _near_shell_count
-
+    """Principal-window pair weights of a periodic line scheme, i.e. its
+    line_weights without the folded images."""
     grid = scheme.grid
-    N = int(round(grid.period / grid.h))
-    J = N // 2
+    J = int(round(grid.period / grid.h)) // 2
     q = max(1, min(6, J // 4))
     return _line_base_weights(_Radial1D(scheme.kernel), grid.h, J, q)
 
@@ -504,72 +418,40 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
     if grid.periodic:
         raise DomainError("Dirichlet assembly needs a free-space grid")
     scheme = scheme_for(kernel, grid)
-    data = SampledField(grid, np.zeros((*grid.shape, m)), rule)
-    if grid.dim == 1:
-        w = scheme.line_weights
-        J = w.size
-        pos, Eg, chi = _extended_line(data, J, mask_exterior=True)
-        # rule values in the non-interior positions (collar nodes included)
-        vals = np.zeros((pos.size, m))
-        outside = ~chi
-        vals[outside] = rule.values(pos[outside, None], m)
-        ax = grid.axis()
-        n = ax.size
-        chi_grid = chi[J : J + n]
-        interior_flat = np.nonzero(chi_grid)[0]
-        n_int = interior_flat.size
-        if n_int > _DENSE_CAP:
-            raise DomainError(f"dense assembly capped at {_DENSE_CAP} unknowns")
-        limits = rule.far_limits(m)
-        diag = float(np.sum(w)) * 2.0 + (2.0 * scheme.tail_mass if limits else 0.0)
-        A = np.zeros((n_int, n_int))
-        np.fill_diagonal(A, diag)
-        g0 = interior_flat[0]
-        for j in range(1, min(J, n_int - 1) + 1):
-            ii = np.arange(n_int - j)
-            A[ii, ii + j] -= w[j - 1]
-            A[ii + j, ii] -= w[j - 1]
-        load = np.zeros((n_int, m))
-        for j in range(1, J + 1):
-            lo = J + g0 - j
-            load += w[j - 1] * (vals[lo : lo + n_int] + vals[J + g0 + j : J + g0 + j + n_int])
-        est = 0.0
-        if limits is not None:
-            load += scheme.tail_mass * (limits(np.array([1.0]))
-                                        + limits(np.array([-1.0])))[None, :]
-        else:
-            est = 4.0 * _far_magnitude(data) * scheme.tail_upper
-        return AssembledOperator(grid, kernel, A, load, interior_flat,
-                                 grid.h, est)
-    # 2-d
-    W = scheme.plane_weights
+    W = _offset_weights(scheme)
     M = W.shape[0] // 2
-    pts, Eg, chi = _extended_plane(data, M, mask_exterior=True)
-    full = chi.shape[0]
-    n = grid.axis().size
-    vals = np.zeros((full, full, m))
-    outside = ~chi
-    vals[outside] = rule.values(pts[outside], m)
-    chi_grid = chi[M : M + n, M : M + n]
-    interior_flat = np.nonzero(chi_grid.ravel())[0]
+    inside = grid.interior_mask()
+    interior_flat = np.flatnonzero(inside)
     n_int = interior_flat.size
     if n_int > _DENSE_CAP:
         raise DomainError(f"dense assembly capped at {_DENSE_CAP} unknowns")
-    ij = np.argwhere(chi_grid)
-    di = ij[:, 0][None, :] - ij[:, 0][:, None] + M
-    dj = ij[:, 1][None, :] - ij[:, 1][:, None] + M
     limits = rule.far_limits(m)
-    S = float(np.sum(W))
-    A = -W[di, dj]
-    np.fill_diagonal(A, S + (scheme.tail_mass if limits else 0.0))
-    Wf = W[::-1, ::-1]
-    load_grid = np.stack(
-        [fftconvolve(vals[..., c], Wf, mode="valid") for c in range(m)], axis=-1)
-    load = load_grid.reshape(-1, m)[interior_flat]
+    directions = _tail_directions(grid.dim)
+    if grid.dim == 1:
+        # interior nodes are contiguous: A is Toeplitz in the offset
+        col = np.zeros(n_int)
+        w = W[M : M + n_int]
+        col[: w.size] = -w
+        A = toeplitz(col)
+    else:
+        ij = np.argwhere(inside)
+        di = ij[:, 0][None, :] - ij[:, 0][:, None] + M
+        dj = ij[:, 1][None, :] - ij[:, 1][:, None] + M
+        A = -W[di, dj]
+    np.fill_diagonal(A, float(np.sum(W))
+                     + (len(directions) * scheme.tail_mass if limits else 0.0))
+    # rule values at every non-interior position (collar nodes included)
+    pts, chi = _padded_points(grid, M)
+    vals = np.zeros((*chi.shape, m))
+    vals[~chi] = _rule_values(rule, pts[~chi], m)
+    corr = _correlator(W, chi.shape, False)
+    load = np.stack([corr(vals[..., c]) for c in range(m)],
+                    axis=-1).reshape(-1, m)[interior_flat]
     est = 0.0
     if limits is not None:
-        load += scheme.tail_mass * limits(np.array([1.0, 0.0]))[None, :]
+        load += scheme.tail_mass * sum(limits(d) for d in directions)[None, :]
     else:
+        data = SampledField(grid, np.zeros((*grid.shape, m)), rule)
         est = 4.0 * _far_magnitude(data) * scheme.tail_upper
     return AssembledOperator(grid, kernel, A, load, interior_flat,
-                             grid.h**2, est)
+                             grid.h**grid.dim, est)

@@ -24,10 +24,9 @@ kernel mass of the cell (or radial shell) they represent, which tames the
 Every weight is nonnegative and attached symmetrically to +/- offsets, so the
 bilinear form built on the same weights is positive semidefinite, and the
 pointwise algebraic identity linking L(v^2), v Lv and the bilinear form holds
-to machine precision by construction (both operators consume the same
-weights).  The real-space weights are independent of the Fourier-multiplier
-path in operators.spectral_apply, which serves as the cross-validation
-oracle.
+by construction up to rounding (both operators consume the same weights).
+The real-space weights are independent of the Fourier-multiplier path in
+operators.spectral_apply, which serves as the cross-validation oracle.
 """
 
 from __future__ import annotations
@@ -287,17 +286,18 @@ def _build_periodic_line_scheme(kernel, grid):
     # images of the origin cell at k*P: quadratic model onto the first node
     kk = np.arange(1, _N_IMAGES + 1) * P
     w[0] += float(np.sum(kernel(kk) * h**3 / 12.0)) / h**2
-    # fold pair weights onto torus shifts 1..N-1
-    W = np.zeros(N)
-    W[1:J] = w[: J - 1]
-    W[N - J + 1 :] += w[: J - 1][::-1]
-    if self_mirror:
-        W[J] = 2.0 * w[J - 1]
-    else:
-        W[J] = w[J - 1]
-        W[J + 1] += w[J - 1]
     return QuadratureScheme(kernel, grid, near_radius=(q + 0.5) * h,
-                            line_weights=w, torus_weights=W)
+                            line_weights=w, torus_weights=_torus_fold(w, N))
+
+
+def _torus_fold(w: np.ndarray, N: int) -> np.ndarray:
+    """Pair weights at offsets +/-1..+/-J (J = N // 2) as node weights on the
+    torus shifts 0..N-1; on even N the half-period shift collects both."""
+    J = w.size
+    W = np.zeros(N)
+    W[1 : J + 1] = w
+    W[N - J :] += w[::-1]
+    return W
 
 
 # -- 2-d construction --------------------------------------------------------

@@ -72,9 +72,9 @@ def square_identity_check(v: SampledField, kernel: KernelSpec) -> float:
 
         -L(v^2) + 2 v L v + 2 B(v, v)
 
-    relative to the size of its three terms.  Exact cancellation per
-    quadrature node makes this a rounding-level quantity on every admissible
-    kernel and grid."""
+    relative to the size of its three terms.  The terms cancel per quadrature
+    node in exact arithmetic, so this is a rounding-level quantity (that of
+    the FFT correlations) on every admissible kernel and grid."""
     if v.m != 1:
         raise DomainError("square_identity_check expects a scalar field")
     vsq = SampledField(v.grid, np.asarray(v.values) ** 2,

@@ -120,7 +120,7 @@ class TestApply:
         c = normalization_constant(1, s)
         ref, _ = quad(lambda y: (1 - prof(y) ** 2) * abs(x - y) ** (-1 - 2 * s),
                       -1 / n, 1 / n, limit=200)
-        assert abs(resid) == pytest.approx(0.5 * c * ref, rel=0.05)
+        assert abs(resid) == pytest.approx(0.5 * c * ref, rel=1e-3)
 
     def test_truncation_estimate_reporting(self):
         grid = free_grid(h=1 / 16)
