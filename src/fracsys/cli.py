@@ -24,15 +24,15 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .fields import (GridSpec, SampledField, callback_rule, field_from_function,
-                     parse_rule, periodic_rule)
+                     parse_rule, periodic_rule, sign_rule, zero_rule)
 from .kernels import (KernelSpec, make_anisotropic_kernel, make_fractional_kernel)
-from .probe import (GrowthBounds, dyadic_ledger, harnack_sweep, structural_audit)
-from .reports import (canonical_json, emit_report, write_csv, write_field_csv,
-                      write_field_fsf1)
+from .probe import (GrowthBounds, dyadic_ledger, harnack_sweep, structural_audit,
+                    supersolution_family)
+from .reports import emit_report, write_csv, write_field_csv, write_field_fsf1
 from .solvers import (GLConfig, LinearProblem, gradient_flow_s_harmonic,
                       ginzburg_landau_solve, solve_linear_dirichlet)
-from .verify import (SmoothedSign, counterexample_residual, s_limit_anisotropic,
-                     s_limit_isotropic, sign_algebra_check, square_identity_check)
+from .verify import (counterexample_residual, s_limit_anisotropic, s_limit_isotropic,
+                     sign_algebra_check, square_identity_check)
 
 COMMANDS = ("solve-linear", "solve-harmonic", "solve-gl", "probe-decay",
             "probe-harnack", "audit", "verify", "limit")
@@ -151,8 +151,6 @@ def _phase_rule(amplitude: float):
 
 
 def _named_profile(name: str, grid: GridSpec) -> SampledField:
-    from .fields import sign_rule, zero_rule
-
     if name == "sign":
         return field_from_function(grid, lambda p: np.sign(p[:, 0]), sign_rule(),
                                    m=1, bound=1.0)
@@ -180,11 +178,19 @@ def _cmd_solve_linear(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
+def _require_fractional(cfg: ExperimentConfig):
+    """Reject kernel kinds a command cannot honour: the flows and the Harnack
+    family build the fractional kernel from the order alone."""
+    kind = cfg.kernel.get("kind", "fractional")
+    if kind != "fractional":
+        raise ConfigError(f"{cfg.command} supports only the fractional kernel, "
+                          f"not kind {kind!r}")
+
+
 def _solve_flow(cfg: ExperimentConfig, out: Path, relaxed: bool) -> int:
     grid = cfg.build_grid()
-    s = float(cfg.kernel.get("s", 0.5))
-    if not 0.0 < s < 1.0:
-        raise ConfigError("order parameter out of range")
+    _require_fractional(cfg)
+    s = cfg.build_kernel(grid.dim).s
     amp = float(cfg.solver.get("amplitude", 0.6))
     g = _phase_rule(amp)
     steps = int(cfg.solver.get("steps", 20000))
@@ -218,9 +224,8 @@ def _cmd_probe_decay(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_probe_harnack(cfg: ExperimentConfig, out: Path) -> int:
-    from .probe import supersolution_family
-
     grid = cfg.build_grid()
+    _require_fractional(cfg)
     s_values = cfg.s_values or (0.5, 0.7, 0.9)
     for s in s_values:
         if not 0.0 < float(s) < 1.0:
@@ -247,8 +252,6 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     grid = GridSpec(dim=1, h=1.0 / 32.0, radius=1.0)
     kernel = make_fractional_kernel(1, 0.5)
     worst = 0.0
-    from .fields import zero_rule
-
     for _ in range(5):
         vals = rng.normal(size=(*grid.shape, 1))
         v = SampledField(grid, vals, zero_rule())

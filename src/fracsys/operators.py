@@ -42,8 +42,8 @@ from scipy.linalg import toeplitz
 from .errors import DomainError
 from .fields import ExteriorRule, GridSpec, SampledField
 from .kernels import KernelSpec, make_fractional_kernel
-from .quadrature import (QuadratureScheme, _line_base_weights, _Radial1D,
-                         _torus_fold, scheme_for)
+from .quadrature import (QuadratureScheme, _periodic_line_window, _torus_fold,
+                         scheme_for)
 
 __all__ = [
     "EnergyValue",
@@ -314,7 +314,7 @@ def s_energy(u: SampledField, s: float) -> EnergyValue:
     t = _table(u, W.shape[0] // 2)
     if grid.periodic:
         # principal-window pairs count as interior, image pairs as tail
-        base = _line_base_for_periodic(scheme)
+        base, _ = _periodic_line_window(scheme.kernel, grid)
         parts = []
         for Wp in (_torus_fold(base, grid.shape[0]),
                    _torus_fold(scheme.line_weights - base, grid.shape[0])):
@@ -337,16 +337,17 @@ def s_energy(u: SampledField, s: float) -> EnergyValue:
     return EnergyValue(interior, max(tail, 0.0) if grid.dim == 2 else tail)
 
 
-def _line_base_for_periodic(scheme: QuadratureScheme) -> np.ndarray:
-    """Principal-window pair weights of a periodic line scheme, i.e. its
-    line_weights without the folded images."""
-    grid = scheme.grid
-    J = int(round(grid.period / grid.h)) // 2
-    q = max(1, min(6, J // 4))
-    return _line_base_weights(_Radial1D(scheme.kernel), grid.h, J, q)
-
-
 # -- spectral oracle -----------------------------------------------------------
+
+
+def _spectral_multiply(grid: GridSpec, symbol, v: np.ndarray) -> np.ndarray:
+    """The Fourier multiplier symbol(k_1, ..., k_dim) applied to the scalar
+    values v of a periodic grid; k_i are the torus frequencies along axis i,
+    broadcast against each other."""
+    n = grid.shape[0]
+    k = np.fft.fftfreq(n, d=1.0 / n) * (2.0 * np.pi / grid.period)
+    ks = np.meshgrid(*([k] * grid.dim), indexing="ij", sparse=True)
+    return np.real(np.fft.ifftn(symbol(*ks) * np.fft.fftn(v)))
 
 
 def spectral_apply(u: SampledField, s: float) -> SampledField:
@@ -356,23 +357,11 @@ def spectral_apply(u: SampledField, s: float) -> SampledField:
     grid = u.grid
     if not grid.periodic:
         raise DomainError("spectral_apply needs a periodic field")
-    scale = 2.0 * np.pi / grid.period
-    v = np.asarray(u.values)
-    out = np.empty_like(v)
-    if grid.dim == 1:
-        k = np.fft.fftfreq(grid.shape[0], d=1.0 / grid.shape[0]) * scale
-        mult = np.abs(k) ** (2.0 * s)
-        for c in range(u.m):
-            out[..., c] = np.real(np.fft.ifft(mult * np.fft.fft(v[..., c])))
-    elif grid.dim == 2:
-        n = grid.shape[0]
-        k = np.fft.fftfreq(n, d=1.0 / n) * scale
-        K2 = k[:, None] ** 2 + k[None, :] ** 2
-        mult = K2**s
-        for c in range(u.m):
-            out[..., c] = np.real(np.fft.ifft2(mult * np.fft.fft2(v[..., c])))
-    else:
+    if grid.dim > 2:
         raise DomainError("spectral_apply supports dimensions 1 and 2")
+    v = np.asarray(u.values)
+    out = np.stack([_spectral_multiply(grid, lambda *k: sum(kk**2 for kk in k) ** s,
+                                       v[..., c]) for c in range(u.m)], axis=-1)
     return u.with_values(out)
 
 
@@ -434,10 +423,13 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
         col[: w.size] = -w
         A = toeplitz(col)
     else:
-        ij = np.argwhere(inside)
-        di = ij[:, 0][None, :] - ij[:, 0][:, None] + M
-        dj = ij[:, 1][None, :] - ij[:, 1][:, None] + M
-        A = -W[di, dj]
+        # A[r, c] = -W[ij_c - ij_r + (M, M)], through flat offsets into W,
+        # gathered a block of rows at a time (no n_int x n_int index arrays)
+        off = np.ravel_multi_index(np.argwhere(inside).T, W.shape)
+        centre = M * W.shape[1] + M
+        A = np.empty((n_int, n_int))
+        for r in range(0, n_int, 64):
+            A[r : r + 64] = -W.ravel()[off[None, :] - off[r : r + 64, None] + centre]
     np.fill_diagonal(A, float(np.sum(W))
                      + (len(directions) * scheme.tail_mass if limits else 0.0))
     # rule values at every non-interior position (collar nodes included)

@@ -20,9 +20,10 @@ from .errors import DomainError
 from .fields import (GridSpec, SampledField, ball_image_stats, callback_rule,
                      field_average, zero_rule)
 from .kernels import KernelSpec, make_fractional_kernel
-from .operators import apply_LK_field
+from .operators import apply_LK_field, assemble_dirichlet
 from .quadrature import scheme_for
-from .solvers import LinearProblem, solve_linear_dirichlet
+from .solvers import (LinearProblem, _full_field, _linear_extension,
+                      solve_linear_dirichlet)
 
 __all__ = [
     "GrowthBounds",
@@ -174,19 +175,11 @@ def supersolution_family(grid: GridSpec, g, m: int = 2,
     -L h = B(u, u) >= 0 holds to rounding, and h >= (1 - rho_frac)(1 - l) M
     keeps the Harnack ratio finite.  Returns builder(s) -> (h_field, kernel).
     """
-    from .operators import assemble_dirichlet
-    import scipy.linalg
-
     def build(s):
         kernel = make_fractional_kernel(grid.dim, s)
         op = assemble_dirichlet(kernel, grid, g, m=m)
-        u_int = scipy.linalg.solve(op.A, op.load, assume_a="pos")
-        pts = grid.points().reshape(-1, grid.dim)
-        vals = np.zeros((pts.shape[0], m))
-        outside = np.ones(pts.shape[0], dtype=bool)
-        outside[op.interior_flat] = False
-        vals[outside] = g.values(pts[outside], m)
-        vals[op.interior_flat] = u_int
+        u = _full_field(grid, g, m, op.interior_flat, _linear_extension(op))
+        vals = np.asarray(u.values).reshape(-1, m)
         M = max(1.0, float(np.max(np.linalg.norm(vals, axis=1))))
         l = 0.5 * M
         rho = np.zeros(m)

@@ -257,13 +257,21 @@ def _build_line_scheme(kernel, grid):
     )
 
 
+def _periodic_line_window(kernel, grid):
+    """Principal-window pair weights of the periodic line scheme at offsets
+    1..J (J = N // 2), before the images are folded in, and the near-shell
+    count q they use."""
+    J = int(round(grid.period / grid.h)) // 2
+    q = max(1, min(6, J // 4))
+    return _line_base_weights(_Radial1D(kernel), grid.h, J, q), q
+
+
 def _build_periodic_line_scheme(kernel, grid):
     h, P = grid.h, grid.period
     N = int(round(P / h))
-    J = N // 2
+    w, q = _periodic_line_window(kernel, grid)
+    J = w.size
     radial = _Radial1D(kernel)
-    q = max(1, min(6, J // 4))
-    w = _line_base_weights(radial, h, J, q)
     j = np.arange(1, J + 1)
     y = j * h
     self_mirror = (N % 2 == 0)

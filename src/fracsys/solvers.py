@@ -22,13 +22,13 @@ each iteration produces a new snapshot and the report is written once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, SolverError
-from .fields import ExteriorRule, GridSpec, SampledField
+from .fields import ExteriorRule, GridSpec, SampledField, zero_rule
 from .kernels import KernelSpec, make_fractional_kernel
 from .operators import (AssembledOperator, apply_fractional_laplacian_field,
                         assemble_dirichlet, bilinear_form_field, s_energy)
@@ -100,12 +100,6 @@ class GLConfig:
             raise DomainError("step must be positive")
 
 
-def _interior_points(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
-    pts = grid.points().reshape(-1, grid.dim)
-    flat = np.nonzero(grid.interior_mask().ravel())[0]
-    return pts, flat
-
-
 def _full_field(grid: GridSpec, rule: ExteriorRule, m: int,
                 interior_flat: np.ndarray, u_int: np.ndarray,
                 bound=None) -> SampledField:
@@ -122,7 +116,7 @@ def _full_field(grid: GridSpec, rule: ExteriorRule, m: int,
 def solve_linear_dirichlet(problem: LinearProblem):
     """Dense direct solve of the interior system; returns (field, report)."""
     op = assemble_dirichlet(problem.kernel, problem.grid, problem.exterior, m=1)
-    pts, flat = _interior_points(problem.grid)
+    pts = problem.grid.points().reshape(-1, problem.grid.dim)
     rhs = problem.rhs_values(pts[op.interior_flat])
     b = rhs[:, None] + op.load
     try:
@@ -156,16 +150,12 @@ def default_flow_step(kernel: KernelSpec, grid: GridSpec,
 
 def _check_unit_exterior(rule: ExteriorRule, grid: GridSpec, m: int):
     rng = np.random.default_rng(7)
-    pts = grid.radius * (1.0 + 3.0 * rng.random((64, 1))) * _random_dirs(rng, 64, grid.dim)
-    g = rule.values(pts, m)
+    radii = grid.radius * (1.0 + 3.0 * rng.random((64, 1)))
+    dirs = rng.normal(size=(64, grid.dim))
+    g = rule.values(radii * (dirs / np.linalg.norm(dirs, axis=1, keepdims=True)), m)
     mag = np.sqrt(np.sum(g * g, axis=-1))
     if np.max(np.abs(mag - 1.0)) > 1e-8:
         raise DomainError("exterior data must be unit length")
-
-
-def _random_dirs(rng, k, dim):
-    v = rng.normal(size=(k, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _project_sphere(w: np.ndarray) -> np.ndarray:
@@ -177,11 +167,67 @@ def _project_sphere(w: np.ndarray) -> np.ndarray:
     return w / norms
 
 
-def _linear_extension(op: AssembledOperator, m: int) -> np.ndarray:
+def _linear_extension(op: AssembledOperator) -> np.ndarray:
     try:
         return scipy.linalg.solve(op.A, op.load, assume_a="pos")
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise SolverError("initial extension failed") from exc
+
+
+def _sphere_flow(grid: GridSpec, g: ExteriorRule, s: float, m: int,
+                 tau: Optional[float], steps: int, tol: float,
+                 residual, advance, penalty, bound):
+    """The explicit flow u <- advance(u - tau (-Delta)^s u, tau) from the
+    radial projection of the linear extension of the unit data g.
+
+    Each step makes one matvec F = A u - load.  It gives the stopping
+    residual residual(u, F) and the energy of u, because
+    (1/2) u.Au - u.load = (1/2) u.(F - load); penalty(u) is added to it.
+    Stops when the residual falls below tol relative to its first value (or
+    to the rounding scale of the operator) or after `steps` steps; aborts if
+    the energy rises on three consecutive steps.  Returns (field, report).
+    """
+    kernel = make_fractional_kernel(grid.dim, s)
+    _check_unit_exterior(g, grid, m)
+    op = assemble_dirichlet(kernel, grid, g, m=m)
+    diag = float(op.A[0, 0])
+    tau = default_flow_step(kernel, grid, op) if tau is None else tau
+    if tau * diag >= 2.0:
+        raise DomainError("step size exceeds the explicit stability bound")
+    u = _project_sphere(_linear_extension(op))
+    # calibrate the additive constant once so the trace reports true energies
+    e0 = s_energy(_full_field(grid, g, m, op.interior_flat, u), s).total
+    floor = 1e-13 * diag  # rounding scale of the operator
+    trace, resid0, resid, rising, k = [], None, np.inf, 0, 0
+    while True:
+        F = op.apply_neg_lk(u)
+        quadratic = 0.5 * op.hvol * float(np.sum(u * (F - op.load)))
+        if not trace:
+            offset = e0 - quadratic
+        trace.append(quadratic + offset + penalty(u))
+        if len(trace) > 1 and trace[-1] > trace[-2] + 1e-12 * (abs(trace[0]) + 1.0):
+            rising += 1
+            if rising >= 3:
+                raise SolverError("energy increased on three consecutive steps",
+                                  step=tau, trace_tail=tuple(trace[-4:]))
+        else:
+            rising = 0
+        if k == steps:
+            break
+        k += 1
+        resid = residual(u, F)
+        if resid0 is None:
+            resid0 = max(resid, 1e-300)
+        if resid <= tol * resid0 or resid <= floor:
+            break
+        u = advance(u - tau * F, tau)
+    violation = float(np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)))
+    field = _full_field(grid, g, m, op.interior_flat, u, bound)
+    report = SolveReport(iterations=k, final_residual=resid,
+                         energy_trace=tuple(trace),
+                         constraint_violation=violation,
+                         truncation_estimate=op.truncation_estimate)
+    return field, report
 
 
 def gradient_flow_s_harmonic(grid: GridSpec, g: ExteriorRule, s: float,
@@ -197,47 +243,12 @@ def gradient_flow_s_harmonic(grid: GridSpec, g: ExteriorRule, s: float,
     Returns (field, report); the energy trace lists the order-s energy per
     accepted step.
     """
-    kernel = make_fractional_kernel(grid.dim, s)
-    _check_unit_exterior(g, grid, m)
-    op = assemble_dirichlet(kernel, grid, g, m=m)
-    tau = default_flow_step(kernel, grid, op) if step_size is None else step_size
-    if tau * float(op.A[0, 0]) >= 2.0:
-        raise DomainError("step size exceeds the explicit stability bound")
-    u = _project_sphere(_linear_extension(op, m))
-    # calibrate the additive constant once so the trace reports true energies
-    field0 = _full_field(grid, g, m, op.interior_flat, u)
-    offset = s_energy(field0, s).total - op.energy_quadratic(u)
-    trace = [op.energy_quadratic(u) + offset]
-    floor = 1e-13 * float(op.A[0, 0])  # rounding scale of the operator
-    resid0 = None
-    resid = np.inf
-    rising = 0
-    k = 0
-    for k in range(1, steps + 1):
-        F = op.apply_neg_lk(u)
+    def tangential(u, F):
         normal = np.sum(u * F, axis=-1, keepdims=True)
-        resid = float(np.max(np.linalg.norm(F - u * normal, axis=-1)))
-        if resid0 is None:
-            resid0 = max(resid, 1e-300)
-        if resid <= tol * resid0 or resid <= floor:
-            break
-        u = _project_sphere(u - tau * F)
-        energy = op.energy_quadratic(u) + offset
-        trace.append(energy)
-        if energy > trace[-2] + 1e-12 * (abs(trace[0]) + 1.0):
-            rising += 1
-            if rising >= 3:
-                raise SolverError("energy increased on three consecutive steps",
-                                  step=tau, trace_tail=tuple(trace[-4:]))
-        else:
-            rising = 0
-    violation = float(np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)))
-    field = _full_field(grid, g, m, op.interior_flat, u, bound=1.0)
-    report = SolveReport(iterations=k, final_residual=resid,
-                         energy_trace=tuple(trace),
-                         constraint_violation=violation,
-                         truncation_estimate=op.truncation_estimate)
-    return field, report
+        return float(np.max(np.linalg.norm(F - u * normal, axis=-1)))
+
+    return _sphere_flow(grid, g, s, m, step_size, steps, tol, tangential,
+                        lambda w, tau: _project_sphere(w), lambda u: 0.0, 1.0)
 
 
 def ginzburg_landau_solve(cfg: GLConfig, g: ExteriorRule, grid: GridSpec,
@@ -250,40 +261,16 @@ def ginzburg_landau_solve(cfg: GLConfig, g: ExteriorRule, grid: GridSpec,
     E_s + (1/(4 eps)) integral of (1 - |v|^2)^2, and constraint_violation
     reports max | |v| - 1 | over interior nodes.
     """
-    kernel = make_fractional_kernel(grid.dim, cfg.s)
-    _check_unit_exterior(g, grid, m)
-    op = assemble_dirichlet(kernel, grid, g, m=m)
-    tau = default_flow_step(kernel, grid, op) if cfg.step is None else cfg.step
-    if tau * float(op.A[0, 0]) >= 2.0:
-        raise DomainError("step size exceeds the explicit stability bound")
     eps = cfg.epsilon
-    u = _project_sphere(_linear_extension(op, m))
-    field0 = _full_field(grid, g, m, op.interior_flat, u)
-    offset = s_energy(field0, cfg.s).total - op.energy_quadratic(u)
 
-    def penalized_energy(u_int):
-        mod2 = np.sum(u_int * u_int, axis=-1)
-        pen = op.hvol / (4.0 * eps) * float(np.sum((1.0 - mod2) ** 2))
-        return op.energy_quadratic(u_int) + offset + pen
-
-    trace = [penalized_energy(u)]
-    floor = 1e-13 * float(op.A[0, 0])
-    resid0 = None
-    resid = np.inf
-    rising = 0
-    k = 0
-    a = tau / eps
-    for k in range(1, cfg.max_steps + 1):
-        F = op.apply_neg_lk(u)
+    def residual(u, F):
         mod2 = np.sum(u * u, axis=-1, keepdims=True)
-        resid = float(np.max(np.linalg.norm(F - (1.0 - mod2) * u / eps, axis=-1)))
-        if resid0 is None:
-            resid0 = max(resid, 1e-300)
-        if resid <= cfg.tol * resid0 or resid <= floor:
-            break
-        w = u - tau * F
-        wn = np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
+        return float(np.max(np.linalg.norm(F - (1.0 - mod2) * u / eps, axis=-1)))
+
+    def react(w, tau):
         # nodewise backward reaction step: rho (1 + a (rho^2 - 1)) = |w|
+        a = tau / eps
+        wn = np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
         rho = np.maximum(wn, 1.0)
         for _ in range(40):
             f = rho * (1.0 + a * (rho * rho - 1.0)) - wn
@@ -292,24 +279,14 @@ def ginzburg_landau_solve(cfg: GLConfig, g: ExteriorRule, grid: GridSpec,
             rho = np.maximum(rho - step, 0.0)
             if float(np.max(np.abs(step))) < 1e-15:
                 break
-        safe = np.maximum(wn, 1e-300)
-        u = w * (rho / safe)
-        energy = penalized_energy(u)
-        trace.append(energy)
-        if energy > trace[-2] + 1e-12 * (abs(trace[0]) + 1.0):
-            rising += 1
-            if rising >= 3:
-                raise SolverError("energy increased on three consecutive steps",
-                                  step=tau, trace_tail=tuple(trace[-4:]))
-        else:
-            rising = 0
-    violation = float(np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)))
-    field = _full_field(grid, g, m, op.interior_flat, u)
-    report = SolveReport(iterations=k, final_residual=resid,
-                         energy_trace=tuple(trace),
-                         constraint_violation=violation,
-                         truncation_estimate=op.truncation_estimate)
-    return field, report
+        return w * (rho / np.maximum(wn, 1e-300))
+
+    def penalty(u):
+        mod2 = np.sum(u * u, axis=-1)
+        return grid.h**grid.dim / (4.0 * eps) * float(np.sum((1.0 - mod2) ** 2))
+
+    return _sphere_flow(grid, g, cfg.s, m, cfg.step, cfg.max_steps, cfg.tol,
+                        residual, react, penalty, None)
 
 
 def euler_lagrange_residual(u: SampledField, s: float) -> SampledField:
@@ -325,11 +302,4 @@ def euler_lagrange_residual(u: SampledField, s: float) -> SampledField:
     bvals, _ = bilinear_form_field(u, u, kernel)
     resid = np.linalg.norm(lap - np.asarray(u.values) * bvals[..., None], axis=-1)
     return SampledField(u.grid, resid[..., None],
-                        u.exterior if u.grid.periodic else
-                        _zero_like_rule(), None)
-
-
-def _zero_like_rule():
-    from .fields import zero_rule
-
-    return zero_rule()
+                        u.exterior if u.grid.periodic else zero_rule(), None)

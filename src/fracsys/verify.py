@@ -12,8 +12,8 @@ from .errors import DomainError
 from .fields import (GridSpec, SampledField, callback_rule, constant_rule,
                      field_from_function, sign_rule)
 from .kernels import KernelSpec, make_anisotropic_kernel, make_fractional_kernel
-from .operators import (apply_LK_field, apply_fractional_laplacian_field,
-                        bilinear_form_field)
+from .operators import (_spectral_multiply, apply_LK_field,
+                        apply_fractional_laplacian_field, bilinear_form_field)
 
 __all__ = [
     "SmoothedSign",
@@ -161,26 +161,14 @@ def _fit_rate(s_values, errors) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _spectral_symbol_apply(v: SampledField, symbol) -> np.ndarray:
-    grid = v.grid
-    scale = 2.0 * np.pi / grid.period
-    if grid.dim == 1:
-        k = np.fft.fftfreq(grid.shape[0], d=1.0 / grid.shape[0]) * scale
-        mult = symbol(k[:, None], None)[:, 0]
-        return np.real(np.fft.ifft(mult * np.fft.fft(np.asarray(v.values)[..., 0])))
-    n = grid.shape[0]
-    k = np.fft.fftfreq(n, d=1.0 / n) * scale
-    mult = symbol(k[:, None], k[None, :])
-    return np.real(np.fft.ifft2(mult * np.fft.fft2(np.asarray(v.values)[..., 0])))
-
-
 def s_limit_isotropic(v: SampledField, s_values) -> LimitReport:
     """Deviation of -(-Delta)^s v from the classical Laplacian of a smooth
     periodic field, for each s; the error should scale like (1 - s) once the
     grid term is subdominant."""
     if not v.grid.periodic or v.m != 1:
         raise DomainError("s_limit_isotropic expects a scalar periodic field")
-    lap_exact = _spectral_symbol_apply(v, lambda k1, k2: -(k1**2 + (0 if k2 is None else k2**2)))
+    lap_exact = _spectral_multiply(v.grid, lambda *k: -sum(kk**2 for kk in k),
+                                   np.asarray(v.values)[..., 0])
     errors = []
     for s in s_values:
         op, _ = apply_fractional_laplacian_field(v, s)
@@ -199,7 +187,7 @@ def s_limit_anisotropic(v: SampledField, A, s_values) -> LimitReport:
     def symbol(k1, k2):
         return -(a[0, 0] * k1**2 + 2.0 * a[0, 1] * k1 * k2 + a[1, 1] * k2**2)
 
-    target = _spectral_symbol_apply(v, symbol)
+    target = _spectral_multiply(v.grid, symbol, np.asarray(v.values)[..., 0])
     errors = []
     for s in s_values:
         kernel = make_anisotropic_kernel(A, s)

@@ -248,6 +248,23 @@ class TestCliMore:
         assert len(rep["ratios_by_s"]) == 2
         assert (out / "harnack.csv").exists()
 
+    @pytest.mark.parametrize("command, kind", [
+        ("solve-harmonic", "anisotropic"), ("solve-gl", "bogus"),
+        ("probe-harnack", "anisotropic")])
+    def test_non_fractional_kernel_rejected(self, tmp_path, capsys, command, kind):
+        # these commands build the fractional kernel; any other kind is refused
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, {
+            "command": command,
+            "kernel": {"kind": kind, "s": 0.5, "matrix": [[2.0]]},
+            "grid": {"dim": 1, "h": 1 / 16, "radius": 1.0},
+            "solver": {"steps": 50},
+            "output_dir": str(out),
+        })
+        assert main([command, "--config", cfg]) == 2
+        assert "fractional kernel" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_limit_2d_anisotropic(self, tmp_path):
         out = tmp_path / "out"
         cfg = self._write_cfg(tmp_path, {

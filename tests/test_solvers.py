@@ -156,6 +156,17 @@ class TestGinzburgLandau:
         diff = np.max(np.abs(np.asarray(v.values)[sel] - np.asarray(u.values)[sel]))
         assert diff < 0.02
 
+    def test_energy_trace_matches_direct_energy(self):
+        # twin of the harmonic-flow check: the trace is the penalized energy
+        eps = 1e-2
+        cfg = GLConfig(epsilon=eps, s=0.5, max_steps=60, tol=0.0)
+        v, rep = ginzburg_landau_solve(cfg, phase_rule(), grid_b1(h=1 / 32), m=2)
+        mask = v.grid.interior_mask()
+        mod2 = np.sum(np.asarray(v.values) ** 2, axis=-1)[mask]
+        hvol = v.grid.h**v.grid.dim
+        direct = s_energy(v, 0.5).total + hvol / (4 * eps) * np.sum((1 - mod2) ** 2)
+        assert rep.energy_trace[-1] == pytest.approx(direct, rel=1e-10)
+
     def test_bad_epsilon_rejected(self):
         with pytest.raises(DomainError):
             GLConfig(epsilon=-1.0, s=0.5)
@@ -208,3 +219,37 @@ class TestFlowAcrossOrders:
         tr = np.array(rep.energy_trace)
         assert np.all(np.diff(tr) <= 1e-10 * abs(tr[0]))
         assert rep.constraint_violation <= 1e-12
+
+
+class TestFlowMatvecs:
+    """Each flow step costs one dense matvec: its F = A u - load gives the
+    step, the residual and the energy (1/2) u.(F - load)."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        from fracsys.operators import AssembledOperator
+
+        calls = []
+        for name in ("apply_neg_lk", "energy_quadratic"):
+            raw = getattr(AssembledOperator, name)
+
+            def counted(self, u_int, _raw=raw):
+                calls.append(1)
+                return _raw(self, u_int)
+
+            monkeypatch.setattr(AssembledOperator, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    @pytest.mark.parametrize("tol", [0.0, 1e-4])  # budget spent / converged
+    def test_one_matvec_per_step(self, monkeypatch, relaxed, tol):
+        calls = self._count(monkeypatch)
+        grid = grid_b1(h=1 / 32)
+        if relaxed:
+            cfg = GLConfig(epsilon=1e-2, s=0.5, max_steps=400, tol=tol)
+            _, rep = ginzburg_landau_solve(cfg, phase_rule(), grid, m=2)
+        else:
+            _, rep = gradient_flow_s_harmonic(grid, phase_rule(), 0.5, m=2,
+                                              steps=400, tol=tol)
+        assert (rep.iterations < 400) == (tol > 0)
+        assert 0 < len(calls) <= rep.iterations + 1
