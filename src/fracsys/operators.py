@@ -2,9 +2,9 @@
 bilinear form and the order-s energy, plus the independent spectral oracle.
 
 All real-space evaluations of one kernel on one grid consume the same
-quadrature weights (see quadrature.py), laid out as one symmetric offset
-array per scheme: [w[::-1], 0, w] on the line, the plane weights in 2-d, the
-torus weights on periodic grids.  Every evaluation is built from the one
+quadrature weights, the one offset array QuadratureScheme.weights (see
+quadrature.py): centred on the zero offset in free space, indexed by torus
+shift on periodic grids.  Every evaluation is built from the one
 correlation (W*f)(x) = sum_k W_k f(x+k): an FFT correlation over the values
 padded by the rule's exterior data in free space, a circular one on the
 torus.  L u = W*u - S u (S = sum_k W_k) plus the closed-form tail, and the
@@ -37,13 +37,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.linalg import toeplitz
 
 from .errors import DomainError
 from .fields import ExteriorRule, GridSpec, SampledField
 from .kernels import KernelSpec, make_fractional_kernel
-from .quadrature import (QuadratureScheme, _periodic_line_window, _torus_fold,
-                         scheme_for)
+from .quadrature import scheme_for
 
 __all__ = [
     "EnergyValue",
@@ -61,17 +59,6 @@ __all__ = [
 
 
 # -- the correlation core ------------------------------------------------------
-
-
-def _offset_weights(scheme: QuadratureScheme) -> np.ndarray:
-    """The scheme's weights as one array: indexed by torus shift on periodic
-    grids, centred on the zero offset in free space."""
-    if scheme.torus_weights is not None:
-        return scheme.torus_weights
-    if scheme.plane_weights is not None:
-        return scheme.plane_weights
-    w = scheme.line_weights
-    return np.concatenate([w[::-1], [0.0], w])
 
 
 def _correlator(W: np.ndarray, shape: tuple, periodic: bool):
@@ -133,12 +120,6 @@ def _rule_values(rule: ExteriorRule, pts: np.ndarray, m: int) -> np.ndarray:
         raise DomainError(f"exterior rule undefined at required radii: {exc}")
 
 
-def _tail_directions(dim: int):
-    """One direction per tail_mass: both rays in 1-d, one (the rule's limit
-    is direction independent) outside the truncation square in 2-d."""
-    return (np.array([1.0]), np.array([-1.0])) if dim == 1 else (np.array([1.0, 0.0]),)
-
-
 class _Table(NamedTuple):
     v: np.ndarray              # stored values, shifted
     E: np.ndarray              # values the correlation reads, shifted
@@ -146,17 +127,18 @@ class _Table(NamedTuple):
     g: Optional[list]          # shifted far limits per tail direction, or None
 
 
-def _table(u: SampledField, M: int) -> _Table:
-    """u shifted by the midpoint of its stored range, on the torus or padded by M
-    nodes per side with the exterior rule's values beyond the stored nodes.
-    g is [] on the torus (images folded in, no tail) and None when the rule
-    has no closed-form far field."""
+def _table(u: SampledField, scheme) -> _Table:
+    """u shifted by the midpoint of its stored range, on the torus or padded by
+    the weights' half-width with the exterior rule's values beyond the stored
+    nodes.  g is [] on the torus (images folded in, no tail) and None when the
+    rule has no closed-form far field."""
     grid = u.grid
     flat = np.asarray(u.values).reshape(-1, u.m)
     ref = 0.5 * (np.max(flat, axis=0) + np.min(flat, axis=0))
     v = np.asarray(u.values) - ref
     if grid.periodic:
         return _Table(v, v, None, [])
+    M = scheme.weights.shape[0] // 2
     pts, chi = _padded_points(grid, M)
     E = np.zeros((*chi.shape, u.m))
     E[(slice(M, M + grid.shape[0]),) * grid.dim] = v
@@ -164,7 +146,7 @@ def _table(u: SampledField, M: int) -> _Table:
     if np.any(out):
         E[out] = _rule_values(u.exterior, pts[out], u.m) - ref
     limits = u.exterior.far_limits(u.m)
-    g = None if limits is None else [limits(d) - ref for d in _tail_directions(grid.dim)]
+    g = None if limits is None else [limits(d) - ref for d in scheme.tail_directions]
     return _Table(v, E, chi, g)
 
 
@@ -198,8 +180,8 @@ def _interior_node_index(u: SampledField, x):
 def _apply(u: SampledField, kernel: KernelSpec, idx=None):
     """L_K u at every stored node, or at the node idx only (one dot product)."""
     scheme = scheme_for(kernel, u.grid)
-    W = _offset_weights(scheme)
-    t = _table(u, W.shape[0] // 2)
+    W = scheme.weights
+    t = _table(u, scheme)
     if idx is None:
         corr = _correlator(W, t.E.shape[:-1], u.grid.periodic)
         v = t.v
@@ -256,9 +238,9 @@ def _bilinear(u: SampledField, w: SampledField, kernel: KernelSpec, idx=None):
     """B_K(u, w) at every stored node, or at the node idx only."""
     _check_same_discretization(u, w)
     scheme = scheme_for(kernel, u.grid)
-    W = _offset_weights(scheme)
-    tu = _table(u, W.shape[0] // 2)
-    tw = tu if w is u else _table(w, W.shape[0] // 2)
+    W = scheme.weights
+    tu = _table(u, scheme)
+    tw = tu if w is u else _table(w, scheme)
     if idx is None:
         corr = _correlator(W, tu.E.shape[:-1], u.grid.periodic)
         a, b = tu.v, tw.v
@@ -310,14 +292,12 @@ def s_energy(u: SampledField, s: float) -> EnergyValue:
         raise DomainError("s_energy supports 1-d grids and free-space 2-d grids")
     scheme = scheme_for(make_fractional_kernel(grid.dim, s), grid)
     hvol = grid.h**grid.dim
-    W = _offset_weights(scheme)
-    t = _table(u, W.shape[0] // 2)
+    W = scheme.weights
+    t = _table(u, scheme)
     if grid.periodic:
         # principal-window pairs count as interior, image pairs as tail
-        base, _ = _periodic_line_window(scheme.kernel, grid)
         parts = []
-        for Wp in (_torus_fold(base, grid.shape[0]),
-                   _torus_fold(scheme.line_weights - base, grid.shape[0])):
+        for Wp in (scheme.window, W - scheme.window):
             corr = _correlator(Wp, grid.shape, True)
             parts.append(float(np.sum(_pair_sum(corr, float(np.sum(Wp)),
                                                 t.v, t.v, t.E, t.E))))
@@ -407,7 +387,7 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
     if grid.periodic:
         raise DomainError("Dirichlet assembly needs a free-space grid")
     scheme = scheme_for(kernel, grid)
-    W = _offset_weights(scheme)
+    W = scheme.weights
     M = W.shape[0] // 2
     inside = grid.interior_mask()
     interior_flat = np.flatnonzero(inside)
@@ -415,23 +395,14 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
     if n_int > _DENSE_CAP:
         raise DomainError(f"dense assembly capped at {_DENSE_CAP} unknowns")
     limits = rule.far_limits(m)
-    directions = _tail_directions(grid.dim)
-    if grid.dim == 1:
-        # interior nodes are contiguous: A is Toeplitz in the offset
-        col = np.zeros(n_int)
-        w = W[M : M + n_int]
-        col[: w.size] = -w
-        A = toeplitz(col)
-    else:
-        # A[r, c] = -W[ij_c - ij_r + (M, M)], through flat offsets into W,
-        # gathered a block of rows at a time (no n_int x n_int index arrays)
-        off = np.ravel_multi_index(np.argwhere(inside).T, W.shape)
-        centre = M * W.shape[1] + M
-        A = np.empty((n_int, n_int))
-        for r in range(0, n_int, 64):
-            A[r : r + 64] = -W.ravel()[off[None, :] - off[r : r + 64, None] + centre]
-    np.fill_diagonal(A, float(np.sum(W))
-                     + (len(directions) * scheme.tail_mass if limits else 0.0))
+    # A[r, c] = -W[x_c - x_r], through flat offsets into W (its centre is the
+    # zero offset), gathered a block of rows at a time (no n_int x n_int
+    # index arrays)
+    off = np.ravel_multi_index(np.argwhere(inside).T, W.shape)
+    A = np.empty((n_int, n_int))
+    for r in range(0, n_int, 64):
+        A[r : r + 64] = -W.ravel()[off[None, :] - off[r : r + 64, None] + W.size // 2]
+    np.fill_diagonal(A, scheme.diagonal() if limits else float(np.sum(W)))
     # rule values at every non-interior position (collar nodes included)
     pts, chi = _padded_points(grid, M)
     vals = np.zeros((*chi.shape, m))
@@ -441,7 +412,7 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
                     axis=-1).reshape(-1, m)[interior_flat]
     est = 0.0
     if limits is not None:
-        load += scheme.tail_mass * sum(limits(d) for d in directions)[None, :]
+        load += scheme.tail_mass * sum(limits(d) for d in scheme.tail_directions)[None, :]
     else:
         data = SampledField(grid, np.zeros((*grid.shape, m)), rule)
         est = 4.0 * _far_magnitude(data) * scheme.tail_upper

@@ -137,13 +137,16 @@ class QuadratureScheme:
 
     kernel, grid      the bound pair;
     near_radius       half-width of the moment-matched inner region;
-    line_weights      (J,) one-sided shell weights at offsets h..Jh
-                      (1-d schemes; for periodic grids these are the
-                      periodized pair weights);
-    torus_weights     offset-indexed node weights on the torus, shape (N,)
-                      or (N, N) (periodic grids, index 0 = zero offset);
-    plane_weights     offset-indexed node weights, shape (2M+1, 2M+1) with
-                      the origin at the center (2-d free space);
+    weights           the node weights as one offset array: shape (2M+1,)*dim
+                      with the zero offset at the centre in free space,
+                      (N,)*dim indexed by torus shift (0 = zero offset) on
+                      periodic grids, where the images are folded in;
+    tail_directions   one unit vector per tail_mass the exterior rule's far
+                      limit is read along: both rays in 1-d, one in 2-d (the
+                      limit is direction independent), none on the torus;
+    window            periodic line only: the part of weights inside the
+                      principal window, without the images (the interior
+                      part of the energy);
     tail_mass         kernel mass beyond the truncation cutoff along one ray
                       (1-d) / outside the truncation square (2-d); zero for
                       periodic schemes (images folded in);
@@ -157,38 +160,27 @@ class QuadratureScheme:
     kernel: KernelSpec
     grid: GridSpec
     near_radius: float
-    line_weights: np.ndarray = None
-    torus_weights: np.ndarray = None
-    plane_weights: np.ndarray = None
+    weights: np.ndarray
+    tail_directions: tuple = ()
+    window: np.ndarray = None
     tail_mass: float = 0.0
     tail_upper: float = 0.0
     dropped_cross_moment: float = 0.0
 
-    @property
-    def singularity_order(self) -> float:
-        return self.kernel.singularity_order
-
-    @property
-    def total_interior_mass(self) -> float:
-        """Sum of all node weights; together with the tail this is the
-        operator's diagonal, the stability constant of explicit flows."""
-        if self.grid.dim == 1 and not self.grid.periodic:
-            return 2.0 * float(np.sum(self.line_weights))
-        if self.torus_weights is not None:
-            return float(np.sum(self.torus_weights))
-        return float(np.sum(self.plane_weights))
-
     def diagonal(self) -> float:
-        return self.total_interior_mass + (
-            2.0 * self.tail_mass if self.grid.dim == 1 else self.tail_mass)
+        """Sum of all node weights plus the tail mass along each direction:
+        the operator's diagonal, the stability constant of explicit flows."""
+        return float(np.sum(self.weights)) + len(self.tail_directions) * self.tail_mass
 
     def innermost_moment_ratio(self) -> float:
         """Innermost weight against an independent quadrature of its defining
         moment integral; consistency demands a ratio near 1."""
         h = self.grid.h
         s = self.kernel.s
+        c = 0 if self.grid.periodic else self.weights.shape[0] // 2
+        # the weight at one step along the first axis
+        w1 = float(self.weights[(c + 1,) + (c,) * (self.grid.dim - 1)])
         if self.grid.dim == 1:
-            w1 = float(self.line_weights[0])
             # independent path: factored-singularity midpoint on a fine grid
             edges = np.linspace(0.0, 1.5 * h, 2001)
             mid = 0.5 * (edges[:-1] + edges[1:])
@@ -196,11 +188,6 @@ class QuadratureScheme:
             seg = (edges[1:] ** (2.0 - 2.0 * s) - edges[:-1] ** (2.0 - 2.0 * s)) / (2.0 - 2.0 * s)
             ref = float(np.sum(psi * seg)) / h**2
             return w1 / ref
-        if self.plane_weights is not None:
-            c = self.plane_weights.shape[0] // 2
-            w_axis = float(self.plane_weights[c + 1, c])
-        else:
-            w_axis = float(self.torus_weights[1, 0])
         # independent angular rule: Gauss-Legendre per octant, radial closed form
         gx, gw = np.polynomial.legendre.leggauss(48)
         t11 = 0.0
@@ -215,11 +202,16 @@ class QuadratureScheme:
                 base = _custom_ray(self.kernel.profile, s, 2,
                                    np.zeros_like(rmax), rmax, 3.0)
             t11 += float(np.sum(wq * base * np.cos(th) ** 2))
-        return w_axis / (t11 / (2.0 * h * h))
+        return w1 / (t11 / (2.0 * h * h))
 
 
 def _near_shell_count(grid: GridSpec) -> int:
-    q = int(np.floor(0.25 * grid.radius / grid.h - 0.5))
+    """Shells integrated against moments: a quarter of the interior radius in
+    free space, an eighth of the period on the torus, between 1 and 6."""
+    if grid.periodic:
+        q = int(round(grid.period / grid.h)) // 8
+    else:
+        q = int(np.floor(0.25 * grid.radius / grid.h - 0.5))
     return max(1, min(6, q))
 
 
@@ -251,27 +243,22 @@ def _build_line_scheme(kernel, grid):
     T = (J + 0.5) * h
     lam_up = (1.0 - kernel.s) * kernel.Lam
     return QuadratureScheme(
-        kernel, grid, near_radius=(q + 0.5) * h, line_weights=w,
+        kernel, grid, near_radius=(q + 0.5) * h,
+        weights=np.concatenate([w[::-1], [0.0], w]),
+        tail_directions=(np.array([1.0]), np.array([-1.0])),
         tail_mass=float(radial.tail(T)),
         tail_upper=lam_up * T ** (-2.0 * kernel.s) / (2.0 * kernel.s),
     )
 
 
-def _periodic_line_window(kernel, grid):
-    """Principal-window pair weights of the periodic line scheme at offsets
-    1..J (J = N // 2), before the images are folded in, and the near-shell
-    count q they use."""
-    J = int(round(grid.period / grid.h)) // 2
-    q = max(1, min(6, J // 4))
-    return _line_base_weights(_Radial1D(kernel), grid.h, J, q), q
-
-
 def _build_periodic_line_scheme(kernel, grid):
     h, P = grid.h, grid.period
     N = int(round(P / h))
-    w, q = _periodic_line_window(kernel, grid)
-    J = w.size
+    J = N // 2
+    q = _near_shell_count(grid)
     radial = _Radial1D(kernel)
+    base = _line_base_weights(radial, h, J, q)
+    w = base.copy()
     j = np.arange(1, J + 1)
     y = j * h
     self_mirror = (N % 2 == 0)
@@ -295,7 +282,7 @@ def _build_periodic_line_scheme(kernel, grid):
     kk = np.arange(1, _N_IMAGES + 1) * P
     w[0] += float(np.sum(kernel(kk) * h**3 / 12.0)) / h**2
     return QuadratureScheme(kernel, grid, near_radius=(q + 0.5) * h,
-                            line_weights=w, torus_weights=_torus_fold(w, N))
+                            weights=_torus_fold(w, N), window=_torus_fold(base, N))
 
 
 def _torus_fold(w: np.ndarray, N: int) -> np.ndarray:
@@ -391,7 +378,8 @@ def _build_plane_scheme(kernel, grid):
     T = (M + 0.5) * h
     lam_up = (1.0 - kernel.s) * kernel.Lam
     return QuadratureScheme(
-        kernel, grid, near_radius=(q + 0.5) * h, plane_weights=W,
+        kernel, grid, near_radius=(q + 0.5) * h, weights=W,
+        tail_directions=(np.array([1.0, 0.0]),),
         tail_mass=_square_tail_mass(kernel, T),
         tail_upper=lam_up * 2.0 * np.pi * T ** (-2.0 * kernel.s) / (2.0 * kernel.s),
         dropped_cross_moment=dropped,
@@ -399,20 +387,16 @@ def _build_plane_scheme(kernel, grid):
 
 
 def _build_periodic_plane_scheme(kernel, grid):
-    h, P = grid.h, grid.period
-    N = int(round(P / h))
-    q = max(1, min(6, N // 8))
-    M = max(q + 4, int(round(grid.truncation_radius / h)))
-    W_big, dropped = _plane_cell_weights(kernel, grid, M, q)
+    plane = _build_plane_scheme(kernel, grid)
+    N, M = grid.shape[0], plane.weights.shape[0] // 2
     idx = np.mod(np.arange(-M, M + 1), N)
     W = np.zeros((N, N))
-    np.add.at(W, (idx[:, None], idx[None, :]), W_big)
+    np.add.at(W, (idx[:, None], idx[None, :]), plane.weights)
     # spread the mass beyond the truncation square as a mean-field term
-    T = (M + 0.5) * h
-    W += _square_tail_mass(kernel, T) / N**2
+    W += plane.tail_mass / N**2
     W[0, 0] = 0.0
-    return QuadratureScheme(kernel, grid, near_radius=(q + 0.5) * h,
-                            torus_weights=W, dropped_cross_moment=dropped)
+    return QuadratureScheme(kernel, grid, near_radius=plane.near_radius,
+                            weights=W, dropped_cross_moment=plane.dropped_cross_moment)
 
 
 @lru_cache(maxsize=16)

@@ -16,7 +16,7 @@ from fracsys import (DomainError, GridSpec, SampledField, apply_fractional_lapla
                      bilinear_form_field, callback_rule, constant_rule,
                      make_custom_kernel, make_fractional_kernel, periodic_rule,
                      s_energy, sign_rule, zero_rule)
-from fracsys.quadrature import _line_base_weights, _Radial1D, scheme_for
+from fracsys.quadrature import _line_base_weights, _near_shell_count, _Radial1D, scheme_for
 
 RTOL = 1e-9
 
@@ -31,6 +31,11 @@ def assert_close(new, old, what, scale=None):
 
 
 # -- the loop oracle -----------------------------------------------------------
+
+
+def pair_weights(scheme):
+    """Free-space weights at offsets 1..J, each shared by the pair +/-j."""
+    return scheme.weights[scheme.weights.size // 2 + 1 :]
 
 
 def loop_extended(u, J):
@@ -57,7 +62,7 @@ def far_estimate(u):
 
 
 def loop_apply(u, scheme):
-    w = scheme.line_weights
+    w = pair_weights(scheme)
     J = w.size
     _, E, _ = loop_extended(u, J)
     n = u.grid.shape[0]
@@ -73,7 +78,8 @@ def loop_apply(u, scheme):
 
 
 def loop_bilinear(u, w, scheme):
-    J = scheme.line_weights.size
+    pw = pair_weights(scheme)
+    J = pw.size
     _, Eu, _ = loop_extended(u, J)
     _, Ew, _ = loop_extended(w, J)
     n = u.grid.shape[0]
@@ -82,7 +88,7 @@ def loop_bilinear(u, w, scheme):
     for j in range(1, J + 1):
         plus = np.sum((cu - Eu[J + j : J + j + n]) * (cw - Ew[J + j : J + j + n]), axis=-1)
         minus = np.sum((cu - Eu[J - j : J - j + n]) * (cw - Ew[J - j : J - j + n]), axis=-1)
-        acc += scheme.line_weights[j - 1] * 0.5 * (plus + minus)
+        acc += pw[j - 1] * 0.5 * (plus + minus)
     lu, lw = u.exterior.far_limits(u.m), w.exterior.far_limits(w.m)
     if lu is None or lw is None:
         return acc
@@ -95,7 +101,7 @@ def loop_bilinear(u, w, scheme):
 def loop_energy(u, s):
     grid = u.grid
     scheme = scheme_for(make_fractional_kernel(1, s), grid)
-    w = scheme.line_weights
+    w = pair_weights(scheme)
     J = w.size
     _, E, chi = loop_extended(u, J)
     n = grid.shape[0]
@@ -122,8 +128,10 @@ def loop_periodic(u, scheme):
     grid = u.grid
     N = grid.shape[0]
     v = np.asarray(u.values)
-    w = scheme.line_weights
-    base = _line_base_weights(_Radial1D(scheme.kernel), grid.h, N // 2, max(1, min(6, N // 8)))
+    w = scheme.weights[1 : N // 2 + 1].copy()
+    if N % 2 == 0:
+        w[-1] /= 2.0  # the half-period shift holds both members of its pair
+    base = _line_base_weights(_Radial1D(scheme.kernel), grid.h, N // 2, _near_shell_count(grid))
     lap, bil = np.zeros_like(v), np.zeros(N)
     g_int, g_img = np.zeros(N), np.zeros(N)
     for j in range(1, w.size + 1):
@@ -141,7 +149,7 @@ def loop_periodic(u, scheme):
 
 def loop_assemble(kernel, grid, rule, m):
     scheme = scheme_for(kernel, grid)
-    w = scheme.line_weights
+    w = pair_weights(scheme)
     J = w.size
     pos, _, chi = loop_extended(SampledField(grid, np.zeros((*grid.shape, m)), rule), J)
     vals = np.zeros((pos.size, m))

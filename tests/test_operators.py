@@ -23,7 +23,7 @@ class TestWeights:
     @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9, 0.97])
     def test_line_weights_positive(self, s):
         sch = scheme_for(make_fractional_kernel(1, s), free_grid())
-        assert np.all(sch.line_weights > 0)
+        assert np.all(sch.weights[sch.weights.size // 2 + 1 :] > 0)
         assert sch.tail_mass > 0
 
     def test_innermost_moment_within_one_percent(self):
@@ -38,12 +38,12 @@ class TestWeights:
 
     def test_plane_weights_positive_and_moment(self):
         sch = scheme_for(make_fractional_kernel(2, 0.5), free_grid(h=1 / 16, dim=2))
-        assert np.all(sch.plane_weights >= 0)
+        assert np.all(sch.weights >= 0)
         assert sch.innermost_moment_ratio() == pytest.approx(1.0, rel=0.01)
 
     def test_torus_weights_symmetric(self):
         sch = scheme_for(make_fractional_kernel(1, 0.4), periodic_grid(64))
-        W = sch.torus_weights
+        W = sch.weights
         assert np.allclose(W[1:], W[1:][::-1], rtol=1e-13)
 
 
@@ -301,7 +301,7 @@ class TestWeightSymmetry:
     def test_plane_weights_even(self):
         sch = scheme_for(make_anisotropic_kernel(np.array([[2.0, 0.5], [0.1, 1.0]]), 0.6),
                          free_grid(h=1 / 8, dim=2))
-        W = sch.plane_weights
+        W = sch.weights
         assert np.allclose(W, W[::-1, ::-1], rtol=1e-13)
         assert np.all(W >= 0)
 
@@ -322,7 +322,7 @@ class TestWeightSymmetry:
         kernel = make_anisotropic_kernel(np.array([[2.0, 0.5], [0.1, 1.0]]), 0.6)
         grid = free_grid(h=1 / 8, dim=2)
         op = assemble_dirichlet(kernel, grid, zero_rule())
-        W = scheme_for(kernel, grid).plane_weights
+        W = scheme_for(kernel, grid).weights
         M = W.shape[0] // 2
         ij = np.argwhere(grid.interior_mask())
         A = -W[ij[None, :, 0] - ij[:, None, 0] + M, ij[None, :, 1] - ij[:, None, 1] + M]
@@ -352,7 +352,7 @@ class TestRotatedAnisotropic:
         # the mixed inner moment cannot fit signed diagonal weights here;
         # it is dropped and recorded, positivity is preserved
         sch = scheme_for(self._kernel(), free_grid(h=1 / 8, dim=2))
-        assert np.all(sch.plane_weights >= 0)
+        assert np.all(sch.weights >= 0)
         assert sch.dropped_cross_moment >= 0
 
     def test_identity_and_positivity_survive(self):
