@@ -367,7 +367,9 @@ def _plane_cell_weights(kernel, grid, M, q):
         else:
             dropped = abs(t12)
     W[c, c] = 0.0
-    return W, dropped
+    # the ring subcells are averaged in a different order at y and -y; the
+    # mean of the two makes the weights exactly even, so A = A^T exactly
+    return 0.5 * (W + W[::-1, ::-1]), dropped
 
 
 def _build_plane_scheme(kernel, grid):

@@ -135,22 +135,22 @@ def write_field_csv(path, field: SampledField) -> Path:
     return write_csv(path, header, rows)
 
 
-def write_evaluation_csv(path, grid, values, estimate) -> Path:
-    """Pointwise operator evaluations as (x, value, truncation_error_estimate)
-    rows over the grid nodes."""
-    pts = grid.points().reshape(-1, grid.dim)
-    vals = np.asarray(values).reshape(pts.shape[0], -1)
-    est = np.broadcast_to(np.asarray(estimate, dtype=float), (pts.shape[0], 1))
-    header = ([f"x{i}" for i in range(grid.dim)]
-              + [f"value{i}" for i in range(vals.shape[1])]
-              + ["truncation_error_estimate"])
-    return write_csv(path, header, np.hstack([pts, vals, est]))
+def _fsf1_grid(n, dims, h) -> GridSpec:
+    """The centered grid an FSF1 header describes: odd dims => free space
+    (ball + collar, default truncation radius), even => periodic."""
+    if dims[0] % 2 == 1:
+        return GridSpec(dim=n, h=h, radius=(dims[0] - 1) // 2 * h / 2.0)
+    return GridSpec(dim=n, h=h, radius=dims[0] * h / 2.0, periodic=True)
 
 
 def write_field_fsf1(path, field: SampledField) -> Path:
+    """Write a binary field; grids the header cannot describe exactly (and
+    so would read back differently) are refused before the file is opened."""
     path = Path(path)
     grid = field.grid
     dims = grid.shape
+    if _fsf1_grid(grid.dim, dims, grid.h) != grid:
+        raise DomainError(f"FSF1 stores only dims and h; it cannot round-trip {grid}")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<i", grid.dim))
@@ -176,11 +176,6 @@ def read_field_fsf1(path, exterior="zero") -> SampledField:
     (h,) = struct.unpack_from("<d", raw, off)
     off += 8
     vals = np.frombuffer(raw, dtype="<f8", offset=off).reshape(*dims, m)
-    # reconstruct the centered grid: odd dims => free space (ball + collar)
-    if dims[0] % 2 == 1:
-        radius = (dims[0] - 1) // 2 * h / 2.0
-        grid = GridSpec(dim=n, h=h, radius=radius)
-    else:
-        grid = GridSpec(dim=n, h=h, radius=dims[0] * h / 2.0, periodic=True)
+    grid = _fsf1_grid(n, dims, h)
     rule = parse_rule(exterior) if isinstance(exterior, str) else exterior
     return SampledField(grid, vals.copy(), rule)

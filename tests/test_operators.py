@@ -302,7 +302,7 @@ class TestWeightSymmetry:
         sch = scheme_for(make_anisotropic_kernel(np.array([[2.0, 0.5], [0.1, 1.0]]), 0.6),
                          free_grid(h=1 / 8, dim=2))
         W = sch.weights
-        assert np.allclose(W, W[::-1, ::-1], rtol=1e-13)
+        assert np.array_equal(W, W[::-1, ::-1])
         assert np.all(W >= 0)
 
     def test_line_scheme_pairs_offsets(self):
@@ -312,6 +312,18 @@ class TestWeightSymmetry:
 
         op = assemble_dirichlet(make_fractional_kernel(1, 0.5),
                                 free_grid(h=1 / 32), zero_rule())
+        assert np.array_equal(op.A, op.A.T)
+
+    @pytest.mark.parametrize("kernel", [
+        make_fractional_kernel(2, 0.5),
+        make_anisotropic_kernel(np.array([[2.0, 0.5], [0.1, 1.0]]), 0.6),
+    ], ids=["isotropic", "anisotropic"])
+    def test_plane_assembly_exactly_symmetric(self, kernel):
+        # even plane weights make the gathered interior matrix symmetric to
+        # the bit, so a solver reading one triangle sees the whole of A
+        from fracsys import assemble_dirichlet
+
+        op = assemble_dirichlet(kernel, free_grid(h=1 / 8, dim=2), zero_rule())
         assert np.array_equal(op.A, op.A.T)
 
     def test_plane_assembly_matches_offset_gather(self):
@@ -329,6 +341,52 @@ class TestWeightSymmetry:
         off = ~np.eye(len(ij), dtype=bool)
         assert len(ij) > 128
         assert np.array_equal(op.A[off], A[off])
+
+
+def custom_line_kernel():
+    base = make_fractional_kernel(1, 0.5)
+    return make_custom_kernel(lambda r: base(r) * (1 + 0.25 * np.tanh(r)),
+                              0.5, 1, base.lam * 0.9, base.Lam * 1.3)
+
+
+ONE_ARRAY_KERNELS = {
+    "fractional-1d": lambda: make_fractional_kernel(1, 0.5),
+    "custom-1d": custom_line_kernel,
+    "fractional-2d": lambda: make_fractional_kernel(2, 0.5),
+    "anisotropic-2d": lambda: make_anisotropic_kernel(np.array([[2.0, 0.5], [0.1, 1.0]]), 0.6),
+}
+
+
+class TestOneWeightArray:
+    """L_K, B, the energy and the assembly read one offset array per scheme."""
+
+    @staticmethod
+    def _scheme(name, periodic):
+        kernel = ONE_ARRAY_KERNELS[name]()
+        if periodic:
+            return scheme_for(kernel, periodic_grid(32, dim=kernel.dim))
+        return scheme_for(kernel, free_grid(h=1 / (64 if kernel.dim == 1 else 8), dim=kernel.dim))
+
+    @pytest.mark.parametrize("periodic", [False, True], ids=["free", "torus"])
+    @pytest.mark.parametrize("name", list(ONE_ARRAY_KERNELS))
+    def test_nonnegative_and_zero_at_zero_offset(self, name, periodic):
+        W = self._scheme(name, periodic).weights
+        assert np.all(W >= 0)
+        zero = (0 if periodic else W.shape[0] // 2,) * W.ndim
+        assert W[zero] == 0.0
+
+    @pytest.mark.parametrize("name", list(ONE_ARRAY_KERNELS))
+    def test_free_space_weights_exactly_even(self, name):
+        W = self._scheme(name, False).weights
+        assert np.array_equal(W, np.flip(W))
+
+    @pytest.mark.parametrize("name", list(ONE_ARRAY_KERNELS))
+    def test_diagonal_is_assembled_diagonal(self, name):
+        from fracsys import assemble_dirichlet
+
+        sch = self._scheme(name, False)
+        op = assemble_dirichlet(sch.kernel, sch.grid, zero_rule())
+        assert np.all(np.diag(op.A) == sch.diagonal())
 
 
 class TestOrderExtremes:

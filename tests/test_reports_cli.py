@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fracsys import (GridSpec, GrowthBounds, canonical_json, constant_field,
+from fracsys import (DomainError, GridSpec, GrowthBounds, canonical_json, constant_field,
                      dyadic_ledger, emit_report, field_from_function,
                      read_field_fsf1, sign_rule, write_field_csv,
                      write_field_fsf1, zero_rule)
@@ -59,6 +59,16 @@ class TestFieldFiles:
         g = read_field_fsf1(path)
         assert g.grid == f.grid
         assert np.array_equal(np.asarray(g.values), np.asarray(f.values))
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(dim=1, h=0.3, radius=1.0),
+        GridSpec(dim=1, h=1 / 16, radius=1.0, truncation_radius=8.0),
+    ], ids=["radius", "truncation_radius"])
+    def test_fsf1_refuses_lossy_grid(self, tmp_path, grid):
+        # read back, these would come out with radius 0.9 and truncation radius 4
+        with pytest.raises(DomainError):
+            write_field_fsf1(tmp_path / "f.fsf1", constant_field(grid, [1.0]))
+        assert not (tmp_path / "f.fsf1").exists()
 
     def test_csv_layout(self, tmp_path):
         f = constant_field(GridSpec(dim=1, h=0.5, radius=1.0), [1.0, 2.0])
@@ -135,6 +145,20 @@ class TestCli:
         rep = json.loads((out / "report.json").read_text())
         assert rep["final_residual"] <= 1e-8
 
+    def test_solve_linear_lossy_grid_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, {
+            "command": "solve-linear",
+            "kernel": {"kind": "fractional", "s": 0.5},
+            "grid": {"dim": 1, "h": 1 / 64, "radius": 1.0, "truncation_radius": 8},
+            "solver": {"rhs": 1.0},
+            "exterior": "zero",
+            "output_dir": str(out),
+        })
+        assert main(["solve-linear", "--config", cfg]) == 2
+        assert not (out / "field.fsf1").exists()
+        assert "FSF1" in capsys.readouterr().err
+
     def test_probe_decay_sign(self, tmp_path):
         out = tmp_path / "out"
         cfg = self._write_cfg(tmp_path, {
@@ -176,20 +200,6 @@ class TestCli:
         rep = json.loads((out / "report.json").read_text())
         assert rep["constraint_violation"] <= 1e-12
         assert (out / "energy_trace.csv").exists()
-
-
-class TestEvaluationExport:
-    def test_pointwise_csv_columns(self, tmp_path):
-        from fracsys import apply_LK_field, make_fractional_kernel
-        from fracsys.reports import write_evaluation_csv
-
-        grid = GridSpec(dim=1, h=1 / 16, radius=1.0)
-        f = field_from_function(grid, lambda p: np.cos(p[:, 0]), zero_rule(), m=1)
-        vals, est = apply_LK_field(f, make_fractional_kernel(1, 0.5))
-        path = write_evaluation_csv(tmp_path / "eval.csv", grid, vals, est)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x0,value0,truncation_error_estimate"
-        assert len(lines) == 1 + grid.shape[0]
 
 
 class TestCliMore:
