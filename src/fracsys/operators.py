@@ -36,9 +36,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.linalg
 from scipy.fft import next_fast_len
 
-from .errors import DomainError
+from .errors import DomainError, SolverError
 from .fields import ExteriorRule, GridSpec, SampledField
 from .kernels import KernelSpec, make_fractional_kernel
 from .quadrature import scheme_for
@@ -356,11 +357,14 @@ class AssembledOperator:
 
     A is symmetric positive definite (M-matrix: positive diagonal, negative
     off-diagonal, strictly dominant through the tail mass).  interior_flat
-    indexes the interior nodes in the flattened grid; hvol is the node
-    volume, used by the quadratic energy form."""
+    indexes the interior nodes in the flattened grid; rule is the exterior
+    data folded into load; hvol is the node volume, used by the quadratic
+    energy form.  Every dense interior solve goes through solve, and field
+    turns its interior values into a full field."""
 
     grid: GridSpec
     kernel: KernelSpec
+    rule: ExteriorRule
     A: np.ndarray
     load: np.ndarray
     interior_flat: np.ndarray
@@ -369,6 +373,28 @@ class AssembledOperator:
 
     def apply_neg_lk(self, u_int: np.ndarray) -> np.ndarray:
         return self.A @ u_int - self.load
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^(-1) b by dense Cholesky; SolverError when A is not positive
+        definite to working precision."""
+        try:
+            return scipy.linalg.solve(self.A, b, assume_a="pos")
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("interior system could not be factorized",
+                              condition_estimate=float(np.linalg.cond(self.A))) from exc
+
+    def field(self, u_int: np.ndarray, bound=None) -> SampledField:
+        """The field with values u_int (n_interior, m) on the interior nodes
+        and the exterior rule everywhere else."""
+        grid, m = self.grid, u_int.shape[1]
+        pts = grid.points().reshape(-1, grid.dim)
+        vals = np.zeros((pts.shape[0], m))
+        outside = np.ones(pts.shape[0], dtype=bool)
+        outside[self.interior_flat] = False
+        if np.any(outside):
+            vals[outside] = self.rule.values(pts[outside], m)
+        vals[self.interior_flat] = u_int
+        return SampledField(grid, vals.reshape(*grid.shape, m), self.rule, bound)
 
     def energy_quadratic(self, u_int: np.ndarray) -> float:
         """(1/2) <u, -L u> h^n up to a u-independent constant; tracks the
@@ -416,5 +442,5 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
     else:
         data = SampledField(grid, np.zeros((*grid.shape, m)), rule)
         est = 4.0 * _far_magnitude(data) * scheme.tail_upper
-    return AssembledOperator(grid, kernel, A, load, interior_flat,
+    return AssembledOperator(grid, kernel, rule, A, load, interior_flat,
                              grid.h**grid.dim, est)

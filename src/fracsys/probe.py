@@ -17,13 +17,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .fields import (GridSpec, SampledField, ball_image_stats, callback_rule,
-                     field_average, zero_rule)
+from .fields import (GridSpec, SampledField, _ball_node_values, ball_image_stats,
+                     callback_rule, zero_rule)
 from .kernels import KernelSpec, make_fractional_kernel
 from .operators import apply_LK_field, assemble_dirichlet
 from .quadrature import scheme_for
-from .solvers import (LinearProblem, _full_field, _linear_extension,
-                      solve_linear_dirichlet)
+from .solvers import LinearProblem, solve_linear_dirichlet
 
 __all__ = [
     "GrowthBounds",
@@ -142,10 +141,7 @@ def harnack_probe(h: SampledField, kernel: KernelSpec, ball,
         flat = int(np.argmin(np.where(mask, -lvals[..., 0], np.inf)))
         raise DomainError(
             f"supersolution check failed: -Lh = {worst:.3e} at flat node {flat}")
-    center, radius = ball
-    pts = h.grid.points().reshape(-1, h.grid.dim)
-    sel = np.linalg.norm(pts - np.atleast_1d(center), axis=1) <= radius + 1e-12
-    hv = vals.reshape(-1)[sel]
+    hv = _ball_node_values(h, *ball)[:, 0]
     lo = float(np.min(hv))
     ratio = float(np.max(hv) / lo) if lo > 0 else float("inf")
     s = kernel.s
@@ -178,7 +174,7 @@ def supersolution_family(grid: GridSpec, g, m: int = 2,
     def build(s):
         kernel = make_fractional_kernel(grid.dim, s)
         op = assemble_dirichlet(kernel, grid, g, m=m)
-        u = _full_field(grid, g, m, op.interior_flat, _linear_extension(op))
+        u = op.field(op.solve(op.load))
         vals = np.asarray(u.values).reshape(-1, m)
         M = max(1.0, float(np.max(np.linalg.norm(vals, axis=1))))
         l = 0.5 * M
@@ -209,17 +205,12 @@ def contraction_step(u: SampledField, bounds: GrowthBounds, ball) -> dict:
     if bounds.l >= 1.0:
         raise DomainError(f"contraction requires l < 1, got l={bounds.l}")
     M = bounds.M
-    center, radius = ball
-    pts = u.grid.points().reshape(-1, u.grid.dim)
-    sel = np.linalg.norm(pts - np.atleast_1d(center), axis=1) <= radius + 1e-12
-    if not np.any(sel):
-        raise DomainError("ball contains no grid nodes")
-    V = np.asarray(u.values).reshape(-1, u.m)[sel]
+    V = _ball_node_values(u, *ball)
     vmax = float(np.max(np.linalg.norm(V, axis=1)))
     atol = 1e-12 * max(M, 1.0)
     if vmax > M + atol:
         raise DomainError(f"pointwise bound violated: |u| reaches {vmax} > M={M}")
-    ubar = field_average(u, ball)
+    ubar = V.mean(axis=0)
 
     def excess(delta):
         return float(np.max(np.linalg.norm(V - delta * ubar, axis=1))) - M * (1.0 - delta)
@@ -299,11 +290,8 @@ def dyadic_ledger(u: SampledField, x0, levels: int, bounds: GrowthBounds,
     for k in range(levels):
         slack = max(slack, (Mk[k + 1] - (1.0 - delta_fit) * Mk[k]) / scale)
     containment = 0.0
-    pts = u.grid.points().reshape(-1, u.grid.dim)
-    vals = np.asarray(u.values).reshape(-1, u.m)
     for k in range(levels):
-        sel = np.linalg.norm(pts - x0, axis=1) <= radii_x[k + 1] + 1e-12
-        d = np.linalg.norm(vals[sel] - centers[k], axis=1)
+        d = np.linalg.norm(_ball_node_values(u, x0, radii_x[k + 1]) - centers[k], axis=1)
         containment = max(containment, float(np.max(d)) - Mk[k])
     if s is not None:
         budget = np.cumsum(2.0 ** (-s * np.arange(levels + 1)))
@@ -350,7 +338,6 @@ def barrier_bound(grid: GridSpec, kernel: KernelSpec) -> dict:
     tau = 2 L_bound (the Harnack factor absorbed at its unit bound)."""
     problem = LinearProblem(kernel, grid, rhs=-1.0, exterior=zero_rule())
     v, report = solve_linear_dirichlet(problem)
-    pts = grid.points().reshape(-1, grid.dim)
-    half = np.linalg.norm(pts, axis=1) <= 0.5 * grid.radius + 1e-12
-    L_bound = float(np.max(np.abs(np.asarray(v.values).reshape(-1)[half])))
+    half = _ball_node_values(v, np.zeros(grid.dim), 0.5 * grid.radius)
+    L_bound = float(np.max(np.abs(half)))
     return {"v": v, "L_bound": L_bound, "tau": 2.0 * L_bound, "report": report}

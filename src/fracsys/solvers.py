@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, SolverError
 from .fields import ExteriorRule, GridSpec, SampledField, zero_rule
@@ -100,41 +99,21 @@ class GLConfig:
             raise DomainError("step must be positive")
 
 
-def _full_field(grid: GridSpec, rule: ExteriorRule, m: int,
-                interior_flat: np.ndarray, u_int: np.ndarray,
-                bound=None) -> SampledField:
-    pts = grid.points().reshape(-1, grid.dim)
-    vals = np.zeros((pts.shape[0], m))
-    outside = np.ones(pts.shape[0], dtype=bool)
-    outside[interior_flat] = False
-    if np.any(outside):
-        vals[outside] = rule.values(pts[outside], m)
-    vals[interior_flat] = u_int
-    return SampledField(grid, vals.reshape(*grid.shape, m), rule, bound)
-
-
 def solve_linear_dirichlet(problem: LinearProblem):
     """Dense direct solve of the interior system; returns (field, report)."""
     op = assemble_dirichlet(problem.kernel, problem.grid, problem.exterior, m=1)
     pts = problem.grid.points().reshape(-1, problem.grid.dim)
     rhs = problem.rhs_values(pts[op.interior_flat])
     b = rhs[:, None] + op.load
-    try:
-        sol = scipy.linalg.solve(op.A, b, assume_a="pos")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise SolverError(
-            "linear system could not be factorized",
-            condition_estimate=float(np.linalg.cond(op.A)),
-        ) from exc
+    sol = op.solve(b)
     resid = float(np.max(np.abs(op.A @ sol - b)))
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
     if not np.all(np.isfinite(sol)) or resid > 1e-6 * max(scale, 1.0) * op.A.shape[0]:
         raise SolverError("ill-conditioned interior system",
                           condition_estimate=float(np.linalg.cond(op.A)))
-    field = _full_field(problem.grid, problem.exterior, 1, op.interior_flat, sol)
     report = SolveReport(iterations=1, final_residual=resid / scale,
                          truncation_estimate=op.truncation_estimate)
-    return field, report
+    return op.field(sol), report
 
 
 def default_flow_step(kernel: KernelSpec, grid: GridSpec,
@@ -167,13 +146,6 @@ def _project_sphere(w: np.ndarray) -> np.ndarray:
     return w / norms
 
 
-def _linear_extension(op: AssembledOperator) -> np.ndarray:
-    try:
-        return scipy.linalg.solve(op.A, op.load, assume_a="pos")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise SolverError("initial extension failed") from exc
-
-
 def _sphere_flow(grid: GridSpec, g: ExteriorRule, s: float, m: int,
                  tau: Optional[float], steps: int, tol: float,
                  residual, advance, penalty, bound):
@@ -194,9 +166,9 @@ def _sphere_flow(grid: GridSpec, g: ExteriorRule, s: float, m: int,
     tau = default_flow_step(kernel, grid, op) if tau is None else tau
     if tau * diag >= 2.0:
         raise DomainError("step size exceeds the explicit stability bound")
-    u = _project_sphere(_linear_extension(op))
+    u = _project_sphere(op.solve(op.load))
     # calibrate the additive constant once so the trace reports true energies
-    e0 = s_energy(_full_field(grid, g, m, op.interior_flat, u), s).total
+    e0 = s_energy(op.field(u), s).total
     floor = 1e-13 * diag  # rounding scale of the operator
     trace, resid0, resid, rising, k = [], None, np.inf, 0, 0
     while True:
@@ -222,12 +194,11 @@ def _sphere_flow(grid: GridSpec, g: ExteriorRule, s: float, m: int,
             break
         u = advance(u - tau * F, tau)
     violation = float(np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)))
-    field = _full_field(grid, g, m, op.interior_flat, u, bound)
     report = SolveReport(iterations=k, final_residual=resid,
                          energy_trace=tuple(trace),
                          constraint_violation=violation,
                          truncation_estimate=op.truncation_estimate)
-    return field, report
+    return op.field(u, bound), report
 
 
 def gradient_flow_s_harmonic(grid: GridSpec, g: ExteriorRule, s: float,
