@@ -8,8 +8,9 @@ solver parameters, output directory and seed; the command may also be named
 in the config and overridden on the command line.
 
 Exit status: 0 when every verdict passes, 1 when a check fails, 2 on a
-configuration error.  Fixed seed and config produce byte-identical output
-files.
+configuration error, 3 when a solver fails (its diagnostics go to
+error.json in the output directory).  Fixed seed and config produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .fields import (GridSpec, SampledField, callback_rule, field_from_function,
 from .kernels import (KernelSpec, make_anisotropic_kernel, make_fractional_kernel)
 from .probe import (GrowthBounds, dyadic_ledger, harnack_sweep, structural_audit,
                     supersolution_family)
-from .reports import emit_report, write_csv, write_field_csv, write_field_fsf1
+from .reports import (_require_fsf1_grid, emit_report, write_csv, write_field_csv,
+                      write_field_fsf1)
 from .solvers import (GLConfig, LinearProblem, gradient_flow_s_harmonic,
                       ginzburg_landau_solve, solve_linear_dirichlet)
 from .verify import (counterexample_residual, s_limit_anisotropic, s_limit_isotropic,
@@ -168,6 +170,7 @@ def _named_profile(name: str, grid: GridSpec) -> SampledField:
 
 def _cmd_solve_linear(cfg: ExperimentConfig, out: Path) -> int:
     grid = cfg.build_grid()
+    _require_fsf1_grid(grid)
     kernel = cfg.build_kernel(grid.dim)
     rule = cfg.build_exterior()
     rhs = float(cfg.solver.get("rhs", 1.0))
@@ -189,6 +192,7 @@ def _require_fractional(cfg: ExperimentConfig):
 
 def _solve_flow(cfg: ExperimentConfig, out: Path, relaxed: bool) -> int:
     grid = cfg.build_grid()
+    _require_fsf1_grid(grid)
     _require_fractional(cfg)
     s = cfg.build_kernel(grid.dim).s
     amp = float(cfg.solver.get("amplitude", 0.6))
@@ -336,9 +340,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, SolverError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        emit_report({"message": str(exc), "diagnostics": exc.diagnostics},
+                    out / "error.json")
+        return 3
 
 
 if __name__ == "__main__":

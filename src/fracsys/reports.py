@@ -143,14 +143,20 @@ def _fsf1_grid(n, dims, h) -> GridSpec:
     return GridSpec(dim=n, h=h, radius=dims[0] * h / 2.0, periodic=True)
 
 
+def _require_fsf1_grid(grid: GridSpec):
+    """Refuse a grid the FSF1 header cannot describe exactly, and so would
+    read back differently."""
+    if _fsf1_grid(grid.dim, grid.shape, grid.h) != grid:
+        raise DomainError(f"FSF1 stores only dims and h; it cannot round-trip {grid}")
+
+
 def write_field_fsf1(path, field: SampledField) -> Path:
-    """Write a binary field; grids the header cannot describe exactly (and
-    so would read back differently) are refused before the file is opened."""
+    """Write a binary field; lossy grids are refused before the file is
+    opened."""
     path = Path(path)
     grid = field.grid
     dims = grid.shape
-    if _fsf1_grid(grid.dim, dims, grid.h) != grid:
-        raise DomainError(f"FSF1 stores only dims and h; it cannot round-trip {grid}")
+    _require_fsf1_grid(grid)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<i", grid.dim))

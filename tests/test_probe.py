@@ -91,6 +91,18 @@ class TestHarnack:
         with pytest.raises(DomainError):
             harnack_probe(f, make_fractional_kernel(1, 0.5), (np.zeros(1), 1.0))
 
+    def test_ball_without_nodes_rejected(self):
+        grid = GridSpec(dim=1, h=1 / 32, radius=1.0)
+        h = constant_field(grid, [1.0])
+        with pytest.raises(DomainError, match="no grid nodes"):
+            harnack_probe(h, make_fractional_kernel(1, 0.5), (0.013, 0.001))
+
+    def test_ball_beyond_stored_nodes_rejected(self):
+        grid = GridSpec(dim=1, h=1 / 32, radius=1.0)
+        h = constant_field(grid, [1.0])
+        with pytest.raises(DomainError, match="stored-node region"):
+            harnack_probe(h, make_fractional_kernel(1, 0.5), (1.9, 0.5))
+
     def test_shifted_square_sweep_uniform_in_s(self):
         grid = GridSpec(dim=1, h=1 / 64, radius=2.0)
         builder = supersolution_family(grid, phase_rule(), m=2)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fracsys import (DomainError, GridSpec, GrowthBounds, canonical_json, constant_field,
-                     dyadic_ledger, emit_report, field_from_function,
+from fracsys import (DomainError, GridSpec, GrowthBounds, SolverError, canonical_json,
+                     constant_field, dyadic_ledger, emit_report, field_from_function,
                      read_field_fsf1, sign_rule, write_field_csv,
                      write_field_fsf1, zero_rule)
 from fracsys.cli import main
@@ -157,7 +157,42 @@ class TestCli:
         })
         assert main(["solve-linear", "--config", cfg]) == 2
         assert not (out / "field.fsf1").exists()
+        assert not (out / "field.csv").exists()
         assert "FSF1" in capsys.readouterr().err
+
+    def test_solve_harmonic_lossy_grid_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, {
+            "command": "solve-harmonic",
+            "kernel": {"s": 0.5},
+            "grid": {"dim": 1, "h": 1 / 32, "radius": 1.0, "truncation_radius": 8},
+            "solver": {"steps": 2000, "tol": 1e-6, "amplitude": 0.5},
+            "output_dir": str(out),
+        })
+        assert main(["solve-harmonic", "--config", cfg]) == 2
+        assert not (out / "field.csv").exists()
+        assert not (out / "field.fsf1").exists()
+        assert "FSF1" in capsys.readouterr().err
+
+    def test_solver_error_exits_three_with_diagnostics(self, tmp_path, monkeypatch,
+                                                       capsys):
+        def fail(problem):
+            raise SolverError("interior system could not be factorized",
+                              condition_estimate=1e17)
+
+        monkeypatch.setattr("fracsys.cli.solve_linear_dirichlet", fail)
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, {
+            "command": "solve-linear",
+            "kernel": {"kind": "fractional", "s": 0.5},
+            "grid": {"dim": 1, "h": 1 / 64, "radius": 1.0},
+            "output_dir": str(out),
+        })
+        assert main(["solve-linear", "--config", cfg]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["diagnostics"]["condition_estimate"] == 1e17
+        assert "could not be factorized" in err["message"]
+        assert "solver error" in capsys.readouterr().err
 
     def test_probe_decay_sign(self, tmp_path):
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from fracsys import (DomainError, GLConfig, GridSpec, LinearProblem,
                      euler_lagrange_residual, gradient_flow_s_harmonic,
                      ginzburg_landau_solve, make_fractional_kernel, s_energy,
                      solve_linear_dirichlet, zero_rule)
-from fracsys.operators import apply_LK_field
+from fracsys.operators import AssembledOperator, apply_LK_field, assemble_dirichlet
+from fracsys.probe import barrier_bound, supersolution_family
 
 
 def phase_rule(amplitude=0.6):
@@ -253,3 +256,40 @@ class TestFlowMatvecs:
                                               steps=400, tol=tol)
         assert (rep.iterations < 400) == (tol > 0)
         assert 0 < len(calls) <= rep.iterations + 1
+
+
+class TestOneSolve:
+    """Every dense interior solve goes through AssembledOperator.solve."""
+
+    def test_indefinite_system_raises_solver_error(self):
+        op = assemble_dirichlet(make_fractional_kernel(1, 0.5), grid_b1(h=1 / 32),
+                                constant_rule([1.0]))
+        with pytest.raises(SolverError) as info:
+            dataclasses.replace(op, A=-op.A).solve(op.load)
+        assert np.isfinite(info.value.diagnostics["condition_estimate"])
+
+    @pytest.mark.parametrize("caller", [
+        "linear", "barrier", "supersolution", "harmonic_flow", "gl_flow"])
+    def test_each_caller_solves_once(self, monkeypatch, caller):
+        calls = []
+        raw = AssembledOperator.solve
+
+        def counted(self, b):
+            calls.append(1)
+            return raw(self, b)
+
+        monkeypatch.setattr(AssembledOperator, "solve", counted)
+        grid = grid_b1(h=1 / 32)
+        kernel = make_fractional_kernel(1, 0.5)
+        if caller == "linear":
+            solve_linear_dirichlet(LinearProblem(kernel, grid, 1.0, zero_rule()))
+        elif caller == "barrier":
+            barrier_bound(grid, kernel)
+        elif caller == "supersolution":
+            supersolution_family(grid, phase_rule(), m=2)(0.5)
+        elif caller == "harmonic_flow":
+            gradient_flow_s_harmonic(grid, phase_rule(), 0.5, m=2, steps=5)
+        else:
+            ginzburg_landau_solve(GLConfig(epsilon=1e-2, s=0.5, max_steps=5),
+                                  phase_rule(), grid, m=2)
+        assert len(calls) == 1
