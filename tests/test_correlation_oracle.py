@@ -3,7 +3,8 @@ replaced.
 
 The loops below are the earlier O(N J) evaluations of the 1-d operators,
 kept here as a test-local oracle: every offset j = 1..J is visited in turn,
-so no cancellation between W*u and S u enters.  The fast path must agree to
+so no cancellation between W*u and S u enters.  The 2-d assembly load gets
+the same treatment, one plane offset at a time.  The fast path must agree to
 1e-9 relative in the max norm; its rounding is that of one FFT correlation
 against the sum of all weights, so agreement to 1e-14 is not expected.
 """
@@ -14,8 +15,8 @@ import pytest
 from fracsys import (DomainError, GridSpec, SampledField, apply_fractional_laplacian,
                      apply_LK, apply_LK_field, assemble_dirichlet, bilinear_form,
                      bilinear_form_field, callback_rule, constant_rule,
-                     make_custom_kernel, make_fractional_kernel, periodic_rule,
-                     s_energy, sign_rule, zero_rule)
+                     make_anisotropic_kernel, make_custom_kernel, make_fractional_kernel,
+                     periodic_rule, s_energy, sign_rule, zero_rule)
 from fracsys.quadrature import _line_base_weights, _near_shell_count, _Radial1D, scheme_for
 
 RTOL = 1e-9
@@ -272,3 +273,55 @@ def test_periodic_line_matches_loops(s, m, h):
     assert_close([e.interior_part, e.tail_part], parts, "periodic energy parts")
     assert_close(apply_LK(u.component(0), kernel, [0.5]), lap[grid.index_of([0.5])][0],
                  "periodic pointwise L_K u", scale=np.max(np.abs(lap)))
+
+
+# -- the 2-d assembly load -------------------------------------------------------
+
+
+def loop_plane_load(kernel, grid, rule, m):
+    """assemble_dirichlet's 2-d load, one plane offset at a time: the sum of
+    W_k times the exterior data at x + k (zero inside the ball, the rule
+    everywhere else), plus the tail mass times the rule's far limits."""
+    scheme = scheme_for(kernel, grid)
+    W = scheme.weights
+    M = W.shape[0] // 2
+    h, n = grid.h, grid.shape[0]
+    K = n // 2  # the stored nodes are h * (-K..K) per axis
+    lattice = h * np.arange(-K - M, K + M + 1)
+    P1, P2 = np.meshgrid(lattice, lattice, indexing="ij")
+    pts = np.stack([P1.ravel(), P2.ravel()], axis=-1)
+    data = rule.values(pts, m).reshape(*P1.shape, m)
+    data[np.hypot(P1, P2) < grid.radius - 1e-12] = 0.0
+    interior = np.argwhere(grid.interior_mask())
+    load = np.zeros((interior.shape[0], m))
+    for a in range(-M, M + 1):
+        for b in range(-M, M + 1):
+            if W[M + a, M + b] != 0.0:
+                load += W[M + a, M + b] * data[interior[:, 0] + M + a, interior[:, 1] + M + b]
+    limits = rule.far_limits(m)
+    if limits is not None:
+        load += scheme.tail_mass * sum(limits(d) for d in scheme.tail_directions)
+    return load
+
+
+PLANE_KERNELS = {"fractional": lambda: make_fractional_kernel(2, 0.6),
+                 "anisotropic": lambda: make_anisotropic_kernel([[1.5, 0.3], [0.2, 0.8]], 0.6)}
+
+
+@pytest.mark.parametrize("kern", sorted(PLANE_KERNELS))
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("rule", ["zero", "constant", "callback"])
+def test_plane_load_matches_offset_loop(rule, m, kern):
+    grid = GridSpec(dim=2, h=1 / 8, radius=1.0)
+    kernel = PLANE_KERNELS[kern]()
+    ext = {"zero": zero_rule(),
+           "constant": constant_rule([0.7, -1.3][:m]),
+           "callback": callback_rule(lambda p: np.stack(
+               [np.cos(p[:, 0]) + 0.1 * p[:, 1], np.sin(p[:, 1])][:m], axis=-1))}[rule]
+    op = assemble_dirichlet(kernel, grid, ext, m=m)
+    ref = loop_plane_load(kernel, grid, ext, m)
+    assert op.load.shape == ref.shape
+    if rule == "zero":
+        assert np.all(op.load == 0.0)
+    else:
+        assert_close(op.load, ref, "2-d assembled load")
