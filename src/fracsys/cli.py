@@ -113,35 +113,23 @@ class ExperimentConfig:
 
     def build_grid(self, default_dim=1, periodic=False) -> GridSpec:
         g = dict(self.grid)
-        try:
-            return GridSpec(
-                dim=int(g.get("dim", default_dim)),
-                h=float(g.get("h", 1.0 / 128.0)),
-                radius=float(g.get("radius", 1.0)),
-                truncation_radius=float(g.get("truncation_radius", 0.0)),
-                periodic=bool(g.get("periodic", periodic)),
-            )
-        except DomainError as exc:
-            raise ConfigError(str(exc))
+        return GridSpec(
+            dim=int(g.get("dim", default_dim)),
+            h=float(g.get("h", 1.0 / 128.0)),
+            radius=float(g.get("radius", 1.0)),
+            truncation_radius=float(g.get("truncation_radius", 0.0)),
+            periodic=bool(g.get("periodic", periodic)),
+        )
 
     def build_bounds(self) -> GrowthBounds:
         b = dict(self.bounds)
         missing = {"a", "a_star", "M"} - set(b)
         if missing:
             raise ConfigError(f"bounds section missing keys: {sorted(missing)}")
-        try:
-            return GrowthBounds(a=float(b["a"]), b=float(b.get("b", 0.0)),
-                                a_star=float(b["a_star"]),
-                                b_star=float(b.get("b_star", 0.0)),
-                                M=float(b["M"]))
-        except DomainError as exc:
-            raise ConfigError(str(exc))
-
-    def build_exterior(self):
-        try:
-            return parse_rule(self.exterior)
-        except DomainError as exc:
-            raise ConfigError(str(exc))
+        return GrowthBounds(a=float(b["a"]), b=float(b.get("b", 0.0)),
+                            a_star=float(b["a_star"]),
+                            b_star=float(b.get("b_star", 0.0)),
+                            M=float(b["M"]))
 
 
 def _phase_rule(amplitude: float):
@@ -172,13 +160,21 @@ def _cmd_solve_linear(cfg: ExperimentConfig, out: Path) -> int:
     grid = cfg.build_grid()
     _require_fsf1_grid(grid)
     kernel = cfg.build_kernel(grid.dim)
-    rule = cfg.build_exterior()
+    rule = parse_rule(cfg.exterior)
     rhs = float(cfg.solver.get("rhs", 1.0))
     fld, report = solve_linear_dirichlet(LinearProblem(kernel, grid, rhs, rule))
     write_field_csv(out / "field.csv", fld)
     write_field_fsf1(out / "field.fsf1", fld)
     emit_report(report, out / "report.json")
     return 0
+
+
+def _orders(cfg: ExperimentConfig, default: tuple) -> tuple:
+    """The config's s_values (or the default) as floats in (0, 1)."""
+    s_values = tuple(float(s) for s in cfg.s_values or default)
+    if not all(0.0 < s < 1.0 for s in s_values):
+        raise ConfigError("order parameter out of range")
+    return s_values
 
 
 def _require_fractional(cfg: ExperimentConfig):
@@ -230,14 +226,10 @@ def _cmd_probe_decay(cfg: ExperimentConfig, out: Path) -> int:
 def _cmd_probe_harnack(cfg: ExperimentConfig, out: Path) -> int:
     grid = cfg.build_grid()
     _require_fractional(cfg)
-    s_values = cfg.s_values or (0.5, 0.7, 0.9)
-    for s in s_values:
-        if not 0.0 < float(s) < 1.0:
-            raise ConfigError("order parameter out of range")
+    s_values = _orders(cfg, (0.5, 0.7, 0.9))
     amp = float(cfg.solver.get("amplitude", 0.6))
     builder = supersolution_family(grid, _phase_rule(amp), m=2)
-    report = harnack_sweep(builder, tuple(float(s) for s in s_values),
-                           (np.zeros(grid.dim), grid.radius / 2.0))
+    report = harnack_sweep(builder, s_values, (np.zeros(grid.dim), grid.radius / 2.0))
     emit_report(report, out / "harnack.json")
     return 0
 
@@ -288,25 +280,19 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_limit(cfg: ExperimentConfig, out: Path) -> int:
-    s_values = cfg.s_values or (0.9, 0.95, 0.99)
-    for s in s_values:
-        if not 0.0 < float(s) < 1.0:
-            raise ConfigError("order parameter out of range")
+    s_values = _orders(cfg, (0.9, 0.95, 0.99))
     g = cfg.build_grid(periodic=True)
     if not g.periodic:
         raise ConfigError("limit command needs a periodic grid")
+    if g.dim != 1 and "matrix" not in cfg.kernel:
+        raise ConfigError("anisotropic limit needs kernel.matrix")
     wave = int(cfg.solver.get("wavenumber", 2))
+    v = field_from_function(g, lambda p: np.cos(wave * p[:, 0]), periodic_rule(), m=1)
     if g.dim == 1:
-        v = field_from_function(g, lambda p: np.cos(wave * p[:, 0]),
-                                periodic_rule(), m=1)
-        report = s_limit_isotropic(v, tuple(float(s) for s in s_values))
+        report = s_limit_isotropic(v, s_values)
     else:
-        if "matrix" not in cfg.kernel:
-            raise ConfigError("anisotropic limit needs kernel.matrix")
-        v = field_from_function(g, lambda p: np.cos(wave * p[:, 0]),
-                                periodic_rule(), m=1)
         report = s_limit_anisotropic(v, np.asarray(cfg.kernel["matrix"], float),
-                                     tuple(float(s) for s in s_values))
+                                     s_values)
     emit_report(report, out / "limit.json")
     return 0
 

@@ -4,7 +4,10 @@ A field u: R^n -> R^m is represented by node values on a uniform Cartesian
 grid covering the interior ball B_R(0) plus a collar of equal width, and by
 an exterior rule that evaluates u analytically everywhere beyond the stored
 nodes.  The rule is a rule, not stored samples: tail quadrature queries it at
-exact points arbitrarily far out.
+exact points arbitrarily far out.  A rule is a value function plus, when the
+field tends to a constant far out, that far limit; ExteriorRule.mapped carries
+both through a pointwise map (a component, a square), so no caller branches
+on the kind of rule.
 
 Grids are centered at the origin.  Non-periodic grids keep every node x with
 |x|_inf <= 2R (interior ball plus collar); periodic grids keep one period
@@ -127,92 +130,97 @@ class GridSpec:
 class ExteriorRule:
     """Analytic values of a field outside the stored nodes.
 
-    kind: "zero", "constant", "sign", "radial_projection", "callback",
-    "periodic".  "sign" is the one-dimensional +/-1 step; "radial_projection"
-    maps x to x/|x| (m = dim).  Callback rules receive points of shape
-    (k, dim) and must return (k, m).
+    fn(points (k, dim), m) -> (k, m) gives the values.  limit(direction, m),
+    when set, is the constant the field tends to along the ray `direction`
+    beyond any finite radius; tail quadrature pairs it with the closed-form
+    kernel mass.  kind names the factory: "zero", "constant" (value vector),
+    "sign" (the one-dimensional +/-1 step), "radial_projection" (x/|x|,
+    m = dim), "callback" (fn(points) -> (k, m)) or "periodic" (no free-space
+    values).
     """
 
     kind: str
+    fn: Callable
+    limit: Optional[Callable] = None
     vector: Optional[tuple] = None
-    fn: Optional[Callable] = None
-
-    def __post_init__(self):
-        known = ("zero", "constant", "sign", "radial_projection", "callback", "periodic")
-        if self.kind not in known:
-            raise DomainError(f"unknown exterior rule: {self.kind!r}")
-        if self.kind == "constant" and self.vector is None:
-            raise DomainError("constant rule needs a vector")
-        if self.kind == "callback" and self.fn is None:
-            raise DomainError("callback rule needs a function")
 
     def values(self, points: np.ndarray, m: int) -> np.ndarray:
         """Evaluate at points (k, dim) -> (k, m)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        k = pts.shape[0]
-        if self.kind == "zero":
-            return np.zeros((k, m))
-        if self.kind == "constant":
-            vec = np.asarray(self.vector, dtype=float).reshape(1, m)
-            return np.repeat(vec, k, axis=0)
-        if self.kind == "sign":
-            if pts.shape[1] != 1 or m != 1:
-                raise DomainError("sign rule is scalar and one-dimensional")
-            return np.sign(pts[:, :1])
-        if self.kind == "radial_projection":
-            r = np.linalg.norm(pts, axis=1, keepdims=True)
-            if np.any(r == 0.0):
-                raise DomainError("radial projection undefined at the origin")
-            return pts / r
-        if self.kind == "callback":
-            out = np.asarray(self.fn(pts), dtype=float)
-            out = out.reshape(k, m)
-            if not np.all(np.isfinite(out)):
-                raise DomainError("exterior rule returned non-finite values")
-            return out
-        raise DomainError("periodic rule has no free-space values")
+        return self.fn(np.atleast_2d(np.asarray(points, dtype=float)), m)
 
     def far_limits(self, m: int):
-        """Constant limits (g_left..., g_right...) beyond any finite radius,
-        or None when the rule has no closed-form far field.
+        """The far limit as a callable direction -> limit vector, or None
+        when the rule has no closed-form far field."""
+        if self.limit is None:
+            return None
+        return lambda direction: self.limit(direction, m)
 
-        For "zero"/"constant" the limit is direction independent; for "sign"
-        the two half-line limits are -1 and +1.  Returns a callable
-        direction -> limit vector, or None.
-        """
-        if self.kind == "zero":
-            g = np.zeros(m)
-            return lambda direction: g
-        if self.kind == "constant":
-            g = np.asarray(self.vector, dtype=float)
-            return lambda direction: g
-        if self.kind == "sign":
-            return lambda direction: np.sign(np.atleast_1d(direction)[:1])
-        return None
+    def mapped(self, f: Callable, m: int) -> "ExteriorRule":
+        """The rule with values f(v), v the (k, m) values of this rule, of the
+        same kind; a far limit is mapped along, so a constant far field stays
+        closed form."""
+        lim = self.limit
+        return ExteriorRule(
+            self.kind, lambda pts, _: f(self.fn(pts, m)),
+            None if lim is None else lambda d, _: f(lim(d, m)[None, :])[0],
+            None if self.vector is None else tuple(f(np.asarray([self.vector]))[0]))
 
 
 def zero_rule() -> ExteriorRule:
-    return ExteriorRule("zero")
+    return ExteriorRule("zero", lambda pts, m: np.zeros((pts.shape[0], m)),
+                        lambda d, m: np.zeros(m))
 
 
 def constant_rule(vec) -> ExteriorRule:
-    return ExteriorRule("constant", vector=tuple(np.atleast_1d(np.asarray(vec, float))))
+    vector = tuple(np.atleast_1d(np.asarray(vec, float)))
+    g = np.asarray(vector)
+    g.setflags(write=False)
+    return ExteriorRule("constant",
+                        lambda pts, m: np.repeat(g.reshape(1, m), pts.shape[0], axis=0),
+                        lambda d, m: g, vector)
+
+
+def _sign_values(pts, m):
+    if pts.shape[1] != 1 or m != 1:
+        raise DomainError("sign rule is scalar and one-dimensional")
+    return np.sign(pts[:, :1])
 
 
 def sign_rule() -> ExteriorRule:
-    return ExteriorRule("sign")
+    return ExteriorRule("sign", _sign_values,
+                        lambda d, m: np.sign(np.atleast_1d(d)[:1]))
+
+
+def _radial_values(pts, m):
+    if m != pts.shape[1]:
+        raise DomainError(f"radial projection needs m = dim, got m={m}, "
+                          f"dim={pts.shape[1]}")
+    r = np.linalg.norm(pts, axis=1, keepdims=True)
+    if np.any(r == 0.0):
+        raise DomainError("radial projection undefined at the origin")
+    return pts / r
 
 
 def radial_projection_rule() -> ExteriorRule:
-    return ExteriorRule("radial_projection")
+    return ExteriorRule("radial_projection", _radial_values)
 
 
 def callback_rule(fn) -> ExteriorRule:
-    return ExteriorRule("callback", fn=fn)
+    def values(pts, m):
+        out = np.asarray(fn(pts), dtype=float).reshape(pts.shape[0], m)
+        if not np.all(np.isfinite(out)):
+            raise DomainError("exterior rule returned non-finite values")
+        return out
+
+    return ExteriorRule("callback", values)
+
+
+def _no_values(pts, m):
+    raise DomainError("periodic rule has no free-space values")
 
 
 def periodic_rule() -> ExteriorRule:
-    return ExteriorRule("periodic")
+    return ExteriorRule("periodic", _no_values)
 
 
 def parse_rule(name: str) -> ExteriorRule:
@@ -272,8 +280,8 @@ class SampledField:
         return self.values.shape[-1]
 
     def component(self, i: int) -> "SampledField":
-        return SampledField(self.grid, self.values[..., i : i + 1],
-                            _component_rule(self.exterior, i, self.m), None)
+        rule = self.exterior.mapped(lambda v: v[:, i : i + 1], self.m)
+        return SampledField(self.grid, self.values[..., i : i + 1], rule, None)
 
     def with_values(self, vals) -> "SampledField":
         return SampledField(self.grid, vals, self.exterior, self.bound)
@@ -301,15 +309,6 @@ class SampledField:
 
     def magnitude(self) -> np.ndarray:
         return np.sqrt(np.sum(np.asarray(self.values) ** 2, axis=-1))
-
-
-def _component_rule(rule: ExteriorRule, i: int, m: int) -> ExteriorRule:
-    if rule.kind in ("zero", "sign", "periodic"):
-        return rule
-    if rule.kind == "constant":
-        return constant_rule([rule.vector[i]])
-    base = rule
-    return callback_rule(lambda pts: base.values(pts, m)[:, i : i + 1])
 
 
 def _interp_grid(ax, vals, pts, periodic=False, period=None):

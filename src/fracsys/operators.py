@@ -26,6 +26,11 @@ before it is correlated: L, B and the energy ignore constants, the shift
 keeps the correlated values (and so the rounding) small, and a constant
 field gives exactly zero.
 
+The Dirichlet load of assemble_dirichlet is L_K of the exterior data alone
+(zero on the interior nodes, the rule on every other node), evaluated by the
+same table, correlation and tail as any other field, so the load and its
+truncation estimate read the weights and the rule exactly as L_K does.
+
 Evaluations are pure functions of immutable inputs; applying them at many
 points concurrently needs no shared mutable state.
 """
@@ -142,10 +147,11 @@ def _table(u: SampledField, scheme) -> _Table:
     M = scheme.weights.shape[0] // 2
     pts, chi = _padded_points(grid, M)
     E = np.zeros((*chi.shape, u.m))
-    E[(slice(M, M + grid.shape[0]),) * grid.dim] = v
-    out = np.max(np.abs(pts), axis=-1) > grid.extent + 1e-12
-    if np.any(out):
-        E[out] = _rule_values(u.exterior, pts[out], u.m) - ref
+    stored = (slice(M, M + grid.shape[0]),) * grid.dim
+    out = np.ones(chi.shape, dtype=bool)
+    out[stored] = False
+    E[out] = _rule_values(u.exterior, pts[out], u.m) - ref
+    E[stored] = v
     limits = u.exterior.far_limits(u.m)
     g = None if limits is None else [limits(d) - ref for d in scheme.tail_directions]
     return _Table(v, E, chi, g)
@@ -386,15 +392,7 @@ class AssembledOperator:
     def field(self, u_int: np.ndarray, bound=None) -> SampledField:
         """The field with values u_int (n_interior, m) on the interior nodes
         and the exterior rule everywhere else."""
-        grid, m = self.grid, u_int.shape[1]
-        pts = grid.points().reshape(-1, grid.dim)
-        vals = np.zeros((pts.shape[0], m))
-        outside = np.ones(pts.shape[0], dtype=bool)
-        outside[self.interior_flat] = False
-        if np.any(outside):
-            vals[outside] = self.rule.values(pts[outside], m)
-        vals[self.interior_flat] = u_int
-        return SampledField(grid, vals.reshape(*grid.shape, m), self.rule, bound)
+        return _dirichlet_field(self.grid, self.rule, self.interior_flat, u_int, bound)
 
     def energy_quadratic(self, u_int: np.ndarray) -> float:
         """(1/2) <u, -L u> h^n up to a u-independent constant; tracks the
@@ -406,21 +404,35 @@ class AssembledOperator:
 _DENSE_CAP = 6000
 
 
+def _dirichlet_field(grid: GridSpec, rule: ExteriorRule, interior_flat: np.ndarray,
+                     u_int: np.ndarray, bound=None) -> SampledField:
+    """u_int (n_interior, m) on the interior nodes, the rule on every other
+    stored node."""
+    m = u_int.shape[1]
+    pts = grid.points().reshape(-1, grid.dim)
+    vals = np.zeros((pts.shape[0], m))
+    outside = np.ones(pts.shape[0], dtype=bool)
+    outside[interior_flat] = False
+    vals[outside] = _rule_values(rule, pts[outside], m)
+    vals[interior_flat] = u_int
+    return SampledField(grid, vals.reshape(*grid.shape, m), rule, bound)
+
+
 def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
                        m: int = 1) -> AssembledOperator:
     """Assemble -L_K on the interior nodes of the grid ball with the given
-    exterior rule supplying all data outside."""
+    exterior rule supplying all data outside.  The load is L_K of the
+    exterior data alone (zero on the interior nodes), through the same padded
+    table, tail and truncation estimate as every other evaluation."""
     if grid.periodic:
         raise DomainError("Dirichlet assembly needs a free-space grid")
     scheme = scheme_for(kernel, grid)
     W = scheme.weights
-    M = W.shape[0] // 2
     inside = grid.interior_mask()
     interior_flat = np.flatnonzero(inside)
     n_int = interior_flat.size
     if n_int > _DENSE_CAP:
         raise DomainError(f"dense assembly capped at {_DENSE_CAP} unknowns")
-    limits = rule.far_limits(m)
     # A[r, c] = -W[x_c - x_r], through flat offsets into W (its centre is the
     # zero offset), gathered a block of rows at a time (no n_int x n_int
     # index arrays)
@@ -428,19 +440,8 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
     A = np.empty((n_int, n_int))
     for r in range(0, n_int, 64):
         A[r : r + 64] = -W.ravel()[off[None, :] - off[r : r + 64, None] + W.size // 2]
-    np.fill_diagonal(A, scheme.diagonal() if limits else float(np.sum(W)))
-    # rule values at every non-interior position (collar nodes included)
-    pts, chi = _padded_points(grid, M)
-    vals = np.zeros((*chi.shape, m))
-    vals[~chi] = _rule_values(rule, pts[~chi], m)
-    corr = _correlator(W, chi.shape, False)
-    load = np.stack([corr(vals[..., c]) for c in range(m)],
-                    axis=-1).reshape(-1, m)[interior_flat]
-    est = 0.0
-    if limits is not None:
-        load += scheme.tail_mass * sum(limits(d) for d in scheme.tail_directions)[None, :]
-    else:
-        data = SampledField(grid, np.zeros((*grid.shape, m)), rule)
-        est = 4.0 * _far_magnitude(data) * scheme.tail_upper
-    return AssembledOperator(grid, kernel, rule, A, load, interior_flat,
-                             grid.h**grid.dim, est)
+    np.fill_diagonal(A, scheme.diagonal() if rule.limit is not None else float(np.sum(W)))
+    data = _dirichlet_field(grid, rule, interior_flat, np.zeros((n_int, m)))
+    load, est = _apply(data, kernel)
+    return AssembledOperator(grid, kernel, rule, A, load.reshape(-1, m)[interior_flat],
+                             interior_flat, grid.h**grid.dim, est)

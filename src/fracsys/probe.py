@@ -107,15 +107,14 @@ class HarnackReport:
     ratios_by_s: tuple
 
 
-def harnack_probe(h: SampledField, kernel: KernelSpec, ball,
-                  tol_factor: float = 1e-6) -> HarnackReport:
+def harnack_probe(h: SampledField, kernel: KernelSpec, ball) -> HarnackReport:
     """Harnack ratio sup h / inf h over the ball for a verified nonnegative
     supersolution.
 
     Checks h >= 0 at the stored nodes and on a sample of exterior points,
-    and -L h >= -tol at interior nodes with tol = tol_factor * |h|_inf times
-    the operator scale (total quadrature mass).  Violations raise with the
-    worst node.
+    and -L h >= -tol at interior nodes with tol = 1e-6 * |h|_inf times the
+    operator scale (total quadrature mass).  Violations raise with the worst
+    node.
     """
     if h.m != 1:
         raise DomainError("harnack_probe expects a scalar field")
@@ -137,7 +136,7 @@ def harnack_probe(h: SampledField, kernel: KernelSpec, ball,
     neg_l = -lvals[..., 0][mask]
     scale = hmax * scheme_for(kernel, h.grid).diagonal()
     worst = float(np.min(neg_l))
-    if worst < -tol_factor * max(scale, 1e-300):
+    if worst < -1e-6 * max(scale, 1e-300):
         flat = int(np.argmin(np.where(mask, -lvals[..., 0], np.inf)))
         raise DomainError(
             f"supersolution check failed: -Lh = {worst:.3e} at flat node {flat}")
@@ -148,28 +147,27 @@ def harnack_probe(h: SampledField, kernel: KernelSpec, ball,
     return HarnackReport(ratio=ratio, s_values=(s,), ratios_by_s=(ratio,))
 
 
-def harnack_sweep(builder, s_values, ball, tol_factor: float = 1e-6) -> HarnackReport:
+def harnack_sweep(builder, s_values, ball) -> HarnackReport:
     """Run harnack_probe across orders; builder(s) -> (field, kernel)."""
     ratios = []
     for s in s_values:
         h, kernel = builder(s)
-        ratios.append(harnack_probe(h, kernel, ball, tol_factor).ratio)
+        ratios.append(harnack_probe(h, kernel, ball).ratio)
     return HarnackReport(ratio=float(np.max(ratios)), s_values=tuple(s_values),
                          ratios_by_s=tuple(ratios))
 
 
-def supersolution_family(grid: GridSpec, g, m: int = 2,
-                                rho_frac: float = 0.9):
+def supersolution_family(grid: GridSpec, g, m: int = 2):
     """Family of verified nonnegative supersolutions, one per order s.
 
     Solves -L u_i = 0 componentwise with unit exterior data g, then forms
 
         h = M^2/2 + (1 - l) M - |u|^2/2 - rho . u,      l = M/2,
 
-    with rho = rho_frac (1 - l) e_1.  Because the solve is exact at the
-    discrete level and the square identity is exact by construction,
-    -L h = B(u, u) >= 0 holds to rounding, and h >= (1 - rho_frac)(1 - l) M
-    keeps the Harnack ratio finite.  Returns builder(s) -> (h_field, kernel).
+    with rho = 0.9 (1 - l) e_1.  Because the solve is exact at the discrete
+    level and the square identity is exact by construction, -L h = B(u, u)
+    >= 0 holds to rounding, and h >= 0.1 (1 - l) M keeps the Harnack ratio
+    finite.  Returns builder(s) -> (h_field, kernel).
     """
     def build(s):
         kernel = make_fractional_kernel(grid.dim, s)
@@ -179,7 +177,7 @@ def supersolution_family(grid: GridSpec, g, m: int = 2,
         M = max(1.0, float(np.max(np.linalg.norm(vals, axis=1))))
         l = 0.5 * M
         rho = np.zeros(m)
-        rho[0] = rho_frac * (1.0 - l)
+        rho[0] = 0.9 * (1.0 - l)
         const = 0.5 * M * M + (1.0 - l) * M
         hvals = const - 0.5 * np.sum(vals * vals, axis=1) - vals @ rho
 

@@ -92,8 +92,7 @@ class _Radial1D:
         self.s = kernel.s
         self.power_law = kernel.is_power_law()
         if self.power_law:
-            self.coef = float(kernel(1.0 if kernel.dim == 1
-                                     else np.eye(kernel.dim)[0]))
+            self.coef = float(kernel(1.0))
         else:
             self.profile = kernel.profile
 

@@ -81,12 +81,12 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class GLConfig:
-    """Relaxation parameters: penalty strength epsilon, order s, pseudo-time
-    step (None picks the diffusion-limited default) and the step budget."""
+    """Relaxation parameters: penalty strength epsilon, order s, the step
+    budget and the residual tolerance.  The pseudo-time step is always the
+    diffusion-limited default_flow_step."""
 
     epsilon: float
     s: float
-    step: Optional[float] = None
     max_steps: int = 20000
     tol: float = 1e-6
 
@@ -95,8 +95,6 @@ class GLConfig:
             raise DomainError("epsilon must be positive")
         if not 0.0 < self.s < 1.0:
             raise DomainError(f"order parameter out of range: s={self.s}")
-        if self.step is not None and self.step <= 0:
-            raise DomainError("step must be positive")
 
 
 def solve_linear_dirichlet(problem: LinearProblem):
@@ -256,7 +254,7 @@ def ginzburg_landau_solve(cfg: GLConfig, g: ExteriorRule, grid: GridSpec,
         mod2 = np.sum(u * u, axis=-1)
         return grid.h**grid.dim / (4.0 * eps) * float(np.sum((1.0 - mod2) ** 2))
 
-    return _sphere_flow(grid, g, cfg.s, m, cfg.step, cfg.max_steps, cfg.tol,
+    return _sphere_flow(grid, g, cfg.s, m, None, cfg.max_steps, cfg.tol,
                         residual, react, penalty, None)
 
 

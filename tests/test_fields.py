@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fracsys import (DomainError, GridSpec, SampledField, ball_image_stats,
-                     callback_rule, constant_field, constant_rule,
-                     field_average, field_from_function, parse_rule,
-                     periodic_rule, restrict_rescale, sign_rule, zero_rule)
+from fracsys import (DomainError, GridSpec, SampledField, apply_LK_field,
+                     ball_image_stats, callback_rule, constant_field, constant_rule,
+                     field_average, field_from_function, make_fractional_kernel,
+                     parse_rule, periodic_rule, radial_projection_rule,
+                     restrict_rescale, sign_rule, zero_rule)
 
 
 def _grid(h=1 / 64, radius=1.0, dim=1):
@@ -84,6 +85,54 @@ class TestSampledField:
     def test_sign_rule_is_one_dimensional(self):
         with pytest.raises(DomainError):
             sign_rule().values(np.zeros((3, 2)), 1)
+
+
+class TestRadialProjectionRule:
+    def test_values_are_unit_directions(self):
+        pts = np.array([[3.0, 4.0], [-2.0, 0.0], [0.5, -0.5]])
+        got = radial_projection_rule().values(pts, 2)
+        assert np.array_equal(got, pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        assert radial_projection_rule().far_limits(2) is None
+
+    def test_origin_rejected(self):
+        with pytest.raises(DomainError, match="origin"):
+            radial_projection_rule().values(np.array([[1.0, 0.0], [0.0, 0.0]]), 2)
+
+    def test_component_count_must_equal_dimension(self):
+        with pytest.raises(DomainError):
+            radial_projection_rule().values(np.array([[3.0, 4.0]]), 1)
+        with pytest.raises(DomainError):
+            radial_projection_rule().values(np.array([[2.0]]), 2)
+        # through an operator: a scalar 2-d field with radial data
+        grid = _grid(h=1 / 4, dim=2)
+        u = SampledField(grid, np.zeros((*grid.shape, 1)), radial_projection_rule())
+        with pytest.raises(DomainError):
+            apply_LK_field(u, make_fractional_kernel(2, 0.5))
+
+
+class TestMappedRule:
+    def test_constant_far_field_is_mapped_along(self):
+        rule = constant_rule([0.5, -2.0]).mapped(lambda v: v[:, 1:2], 2)
+        assert np.array_equal(rule.values(np.ones((3, 1)), 1), np.full((3, 1), -2.0))
+        assert np.array_equal(rule.far_limits(1)(np.array([1.0])), [-2.0])
+        assert rule.vector == (-2.0,)
+
+    def test_sign_squared_has_unit_limits(self):
+        rule = sign_rule().mapped(lambda v: v**2, 1)
+        assert np.array_equal(rule.values(np.array([[-3.0], [5.0]]), 1), [[1.0], [1.0]])
+        for d in (-1.0, 1.0):
+            assert np.array_equal(rule.far_limits(1)(np.array([d])), [1.0])
+
+    def test_callback_stays_without_limit(self):
+        rule = callback_rule(lambda p: np.stack([p[:, 0], 2 * p[:, 0]], axis=-1))
+        comp = rule.mapped(lambda v: v[:, 1:2], 2)
+        assert np.array_equal(comp.values(np.array([[1.5]]), 1), [[3.0]])
+        assert comp.far_limits(1) is None
+
+    def test_component_keeps_the_periodic_rule(self):
+        grid = GridSpec(dim=1, h=2 * np.pi / 16, radius=np.pi, periodic=True)
+        u = SampledField(grid, np.ones((16, 2)), periodic_rule())
+        assert u.component(1).exterior.kind == "periodic"
 
 
 class TestFieldAverage:

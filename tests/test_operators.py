@@ -7,7 +7,8 @@ from fracsys import (DomainError, GridSpec, SampledField, SmoothedSign,
                      bilinear_form_field, callback_rule, constant_field,
                      constant_rule, field_from_function, make_anisotropic_kernel,
                      make_custom_kernel, make_fractional_kernel, periodic_rule,
-                     s_energy, sign_rule, spectral_apply, zero_rule)
+                     s_energy, sign_rule, spectral_apply, square_identity_check,
+                     zero_rule)
 from fracsys.quadrature import scheme_for
 
 
@@ -387,6 +388,28 @@ class TestOneWeightArray:
         sch = self._scheme(name, False)
         op = assemble_dirichlet(sch.kernel, sch.grid, zero_rule())
         assert np.all(np.diag(op.A) == sch.diagonal())
+
+
+class TestCustomPlaneKernel:
+    """A custom 2-d kernel with the fractional profile c r^(-2-2s) runs the
+    custom branches of the box moments, the square tail and the moment
+    ratio; it must reproduce the fractional scheme."""
+
+    @pytest.mark.parametrize("s", [0.3, 0.6])
+    def test_matches_fractional_scheme(self, s):
+        frac = make_fractional_kernel(2, s)
+        c, p = frac.c_ns, 2.0 + 2.0 * s
+        custom = make_custom_kernel(lambda r: c * r ** (-p), s, 2, frac.lam, frac.Lam)
+        assert not custom.is_power_law()
+        grid = free_grid(h=1 / 8, dim=2)
+        a, b = scheme_for(frac, grid), scheme_for(custom, grid)
+        assert np.max(np.abs(b.weights - a.weights)) <= 1e-13 * np.max(a.weights)
+        assert abs(b.innermost_moment_ratio() - a.innermost_moment_ratio()) <= 1e-12
+        # the custom tail samples 512 of the 8192 directions
+        assert b.tail_mass == pytest.approx(a.tail_mass, rel=1e-4)
+        rng = np.random.default_rng(5)
+        v = SampledField(grid, rng.normal(size=(*grid.shape, 1)), zero_rule())
+        assert square_identity_check(v, custom) <= 1e-12
 
 
 class TestOrderExtremes:

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from fracsys import (DomainError, GridSpec, GrowthBounds, SolverError, canonical_json,
-                     constant_field, dyadic_ledger, emit_report, field_from_function,
-                     read_field_fsf1, sign_rule, write_field_csv,
-                     write_field_fsf1, zero_rule)
+from fracsys import (DomainError, GridSpec, GrowthBounds, LinearProblem, SolverError,
+                     canonical_json, constant_field, dyadic_ledger, emit_report,
+                     field_from_function, make_anisotropic_kernel, periodic_rule,
+                     read_field_fsf1, s_limit_isotropic, sign_rule, solve_linear_dirichlet,
+                     write_field_csv, write_field_fsf1, zero_rule)
 from fracsys.cli import main
 from fracsys.solvers import SolveReport
 
@@ -309,6 +310,41 @@ class TestCliMore:
         assert main([command, "--config", cfg]) == 2
         assert "fractional kernel" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    def test_solve_linear_anisotropic_kernel(self, tmp_path):
+        out = tmp_path / "out"
+        matrix = [[1.5, 0.3], [0.2, 0.8]]
+        cfg = self._write_cfg(tmp_path, {
+            "command": "solve-linear",
+            "kernel": {"kind": "anisotropic", "s": 0.6, "matrix": matrix},
+            "grid": {"dim": 2, "h": 1 / 8, "radius": 1.0},
+            "solver": {"rhs": 1.0},
+            "output_dir": str(out),
+        })
+        assert main(["solve-linear", "--config", cfg]) == 0
+        grid = GridSpec(dim=2, h=1 / 8, radius=1.0)
+        direct, _ = solve_linear_dirichlet(LinearProblem(
+            make_anisotropic_kernel(np.asarray(matrix), 0.6), grid, 1.0, zero_rule()))
+        written = read_field_fsf1(out / "field.fsf1")
+        assert np.array_equal(np.asarray(written.values), np.asarray(direct.values))
+        assert json.loads((out / "report.json").read_text())["final_residual"] <= 1e-8
+
+    def test_limit_1d_isotropic(self, tmp_path):
+        out = tmp_path / "out"
+        h = 2 * np.pi / 1024
+        cfg = self._write_cfg(tmp_path, {
+            "command": "limit",
+            "grid": {"dim": 1, "h": h, "radius": np.pi, "periodic": True},
+            "output_dir": str(out),
+        })
+        assert main(["limit", "--config", cfg]) == 0
+        rep = json.loads((out / "limit.json").read_text())
+        grid = GridSpec(dim=1, h=h, radius=np.pi, periodic=True)
+        v = field_from_function(grid, lambda p: np.cos(2 * p[:, 0]), periodic_rule(), m=1)
+        direct = s_limit_isotropic(v, (0.9, 0.95, 0.99))
+        assert rep["s_values"] == [0.9, 0.95, 0.99]
+        assert rep["errors"] == list(direct.errors)
+        assert abs(rep["fitted_rate"] - 1.0) <= 0.2
 
     def test_limit_2d_anisotropic(self, tmp_path):
         out = tmp_path / "out"

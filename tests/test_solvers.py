@@ -131,6 +131,18 @@ class TestHarmonicFlow:
         with pytest.raises(DomainError):
             gradient_flow_s_harmonic(grid_b1(h=1 / 32), bad, 0.5, m=2)
 
+    def test_rising_energy_aborts(self):
+        # a stable but too large step on strongly twisted data: the projection
+        # pushes the energy up on three consecutive steps
+        grid, g = grid_b1(h=1 / 32), phase_rule(2.5)
+        op = assemble_dirichlet(make_fractional_kernel(1, 0.5), grid, g, m=2)
+        step = 1.5 / op.A[0, 0]
+        with pytest.raises(SolverError, match="three consecutive steps") as err:
+            gradient_flow_s_harmonic(grid, g, 0.5, m=2, steps=2000, step_size=step)
+        tail = err.value.diagnostics["trace_tail"]
+        assert len(tail) == 4 and all(np.diff(tail) > 0)
+        assert err.value.diagnostics["step"] == step
+
 
 class TestGinzburgLandau:
     def test_constant_data_exact_fixed_point(self):
