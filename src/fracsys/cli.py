@@ -44,6 +44,19 @@ class ConfigError(Exception):
     pass
 
 
+def _number(where: str, raw, cast=float):
+    """A config value converted by cast (float or int); ConfigError naming
+    where it sits (section.key) when it is not a number."""
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be numeric, got {raw!r}") from None
+
+
+def _matrix(raw) -> np.ndarray:
+    return np.asarray(raw, dtype=float)
+
+
 SCHEMA_VERSION = 1
 
 
@@ -73,7 +86,8 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if int(raw.get("schema_version", SCHEMA_VERSION)) != SCHEMA_VERSION:
+        if _number("schema_version", raw.get("schema_version", SCHEMA_VERSION),
+                   int) != SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported schema_version {raw['schema_version']}; "
                 f"this build reads version {SCHEMA_VERSION}")
@@ -101,12 +115,14 @@ class ExperimentConfig:
         elif kind == "anisotropic":
             if "matrix" not in k:
                 raise ConfigError("anisotropic kernel needs a matrix")
-            spec = make_anisotropic_kernel(np.asarray(k["matrix"], float), float(s))
+            spec = make_anisotropic_kernel(_number("kernel.matrix", k["matrix"], _matrix),
+                                           float(s))
         else:
             raise ConfigError(f"unsupported kernel kind in config: {kind!r}")
         # ellipticity constants are derived, never user-set; reject mismatches
         for key, derived in (("lambda", spec.lam), ("Lambda", spec.Lam)):
-            if key in k and not np.isclose(float(k[key]), derived, rtol=1e-6):
+            if key in k and not np.isclose(_number(f"kernel.{key}", k[key]), derived,
+                                           rtol=1e-6):
                 raise ConfigError(
                     f"{key}={k[key]} conflicts with the derived value {derived:.6g}")
         return spec
@@ -114,10 +130,11 @@ class ExperimentConfig:
     def build_grid(self, default_dim=1, periodic=False) -> GridSpec:
         g = dict(self.grid)
         return GridSpec(
-            dim=int(g.get("dim", default_dim)),
-            h=float(g.get("h", 1.0 / 128.0)),
-            radius=float(g.get("radius", 1.0)),
-            truncation_radius=float(g.get("truncation_radius", 0.0)),
+            dim=_number("grid.dim", g.get("dim", default_dim), int),
+            h=_number("grid.h", g.get("h", 1.0 / 128.0)),
+            radius=_number("grid.radius", g.get("radius", 1.0)),
+            truncation_radius=_number("grid.truncation_radius",
+                                      g.get("truncation_radius", 0.0)),
             periodic=bool(g.get("periodic", periodic)),
         )
 
@@ -126,10 +143,11 @@ class ExperimentConfig:
         missing = {"a", "a_star", "M"} - set(b)
         if missing:
             raise ConfigError(f"bounds section missing keys: {sorted(missing)}")
-        return GrowthBounds(a=float(b["a"]), b=float(b.get("b", 0.0)),
-                            a_star=float(b["a_star"]),
-                            b_star=float(b.get("b_star", 0.0)),
-                            M=float(b["M"]))
+        return GrowthBounds(a=_number("bounds.a", b["a"]),
+                            b=_number("bounds.b", b.get("b", 0.0)),
+                            a_star=_number("bounds.a_star", b["a_star"]),
+                            b_star=_number("bounds.b_star", b.get("b_star", 0.0)),
+                            M=_number("bounds.M", b["M"]))
 
 
 def _phase_rule(amplitude: float):
@@ -161,7 +179,7 @@ def _cmd_solve_linear(cfg: ExperimentConfig, out: Path) -> int:
     _require_fsf1_grid(grid)
     kernel = cfg.build_kernel(grid.dim)
     rule = parse_rule(cfg.exterior)
-    rhs = float(cfg.solver.get("rhs", 1.0))
+    rhs = _number("solver.rhs", cfg.solver.get("rhs", 1.0))
     fld, report = solve_linear_dirichlet(LinearProblem(kernel, grid, rhs, rule))
     write_field_csv(out / "field.csv", fld)
     write_field_fsf1(out / "field.fsf1", fld)
@@ -171,7 +189,7 @@ def _cmd_solve_linear(cfg: ExperimentConfig, out: Path) -> int:
 
 def _orders(cfg: ExperimentConfig, default: tuple) -> tuple:
     """The config's s_values (or the default) as floats in (0, 1)."""
-    s_values = tuple(float(s) for s in cfg.s_values or default)
+    s_values = tuple(_number("s_values", s) for s in cfg.s_values or default)
     if not all(0.0 < s < 1.0 for s in s_values):
         raise ConfigError("order parameter out of range")
     return s_values
@@ -191,12 +209,12 @@ def _solve_flow(cfg: ExperimentConfig, out: Path, relaxed: bool) -> int:
     _require_fsf1_grid(grid)
     _require_fractional(cfg)
     s = cfg.build_kernel(grid.dim).s
-    amp = float(cfg.solver.get("amplitude", 0.6))
+    amp = _number("solver.amplitude", cfg.solver.get("amplitude", 0.6))
     g = _phase_rule(amp)
-    steps = int(cfg.solver.get("steps", 20000))
-    tol = float(cfg.solver.get("tol", 1e-6))
+    steps = _number("solver.steps", cfg.solver.get("steps", 20000), int)
+    tol = _number("solver.tol", cfg.solver.get("tol", 1e-6))
     if relaxed:
-        gl = GLConfig(epsilon=float(cfg.solver.get("epsilon", 1e-3)), s=s,
+        gl = GLConfig(epsilon=_number("solver.epsilon", cfg.solver.get("epsilon", 1e-3)), s=s,
                       max_steps=steps, tol=tol)
         fld, report = ginzburg_landau_solve(gl, g, grid, m=2)
     else:
@@ -215,10 +233,10 @@ def _cmd_probe_decay(cfg: ExperimentConfig, out: Path) -> int:
     name = cfg.field_profile or "sign"
     fld = _named_profile(name, grid)
     bounds = cfg.build_bounds()
-    levels = int(cfg.solver.get("levels", 5))
+    levels = _number("solver.levels", cfg.solver.get("levels", 5), int)
     s = cfg.kernel.get("s")
     ledger = dyadic_ledger(fld, np.zeros(grid.dim), levels, bounds,
-                           s=None if s is None else float(s))
+                           s=None if s is None else _number("kernel.s", s))
     emit_report(ledger, out / "decay_ledger.json")
     return 0
 
@@ -227,7 +245,7 @@ def _cmd_probe_harnack(cfg: ExperimentConfig, out: Path) -> int:
     grid = cfg.build_grid()
     _require_fractional(cfg)
     s_values = _orders(cfg, (0.5, 0.7, 0.9))
-    amp = float(cfg.solver.get("amplitude", 0.6))
+    amp = _number("solver.amplitude", cfg.solver.get("amplitude", 0.6))
     builder = supersolution_family(grid, _phase_rule(amp), m=2)
     report = harnack_sweep(builder, s_values, (np.zeros(grid.dim), grid.radius / 2.0))
     emit_report(report, out / "harnack.json")
@@ -286,13 +304,13 @@ def _cmd_limit(cfg: ExperimentConfig, out: Path) -> int:
         raise ConfigError("limit command needs a periodic grid")
     if g.dim != 1 and "matrix" not in cfg.kernel:
         raise ConfigError("anisotropic limit needs kernel.matrix")
-    wave = int(cfg.solver.get("wavenumber", 2))
+    wave = _number("solver.wavenumber", cfg.solver.get("wavenumber", 2), int)
     v = field_from_function(g, lambda p: np.cos(wave * p[:, 0]), periodic_rule(), m=1)
     if g.dim == 1:
         report = s_limit_isotropic(v, s_values)
     else:
-        report = s_limit_anisotropic(v, np.asarray(cfg.kernel["matrix"], float),
-                                     s_values)
+        A = _number("kernel.matrix", cfg.kernel["matrix"], _matrix)
+        report = s_limit_anisotropic(v, A, s_values)
     emit_report(report, out / "limit.json")
     return 0
 

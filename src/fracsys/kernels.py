@@ -146,17 +146,6 @@ class KernelSpec:
         rz = np.sqrt(np.sum(z * z, axis=-1))
         return self.c_ns / (abs(np.linalg.det(A)) * rz ** self.singularity_order)
 
-    def angular_profile(self, theta: np.ndarray) -> np.ndarray:
-        """kappa(theta) with K(r, theta) = kappa(theta) * r^(-(n+2s)), dim=2.
-
-        Defined for the power-law kinds (fractional, anisotropic); custom
-        kernels are radial, kappa = profile(1).
-        """
-        if self.dim != 2:
-            raise DomainError("angular_profile is a 2-d helper")
-        e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        return self(e)  # homogeneity: K(r e) = K(e) r^(-(n+2s))
-
     def is_power_law(self) -> bool:
         return self.kind in ("fractional", "anisotropic")
 

@@ -131,6 +131,7 @@ class _Table(NamedTuple):
     E: np.ndarray              # values the correlation reads, shifted
     chi: Optional[np.ndarray]  # interior indicator on E's positions (free space)
     g: Optional[list]          # shifted far limits per tail direction, or None
+    ref: np.ndarray            # the shift: the midpoint of the stored range
 
 
 def _table(u: SampledField, scheme) -> _Table:
@@ -143,7 +144,7 @@ def _table(u: SampledField, scheme) -> _Table:
     ref = 0.5 * (np.max(flat, axis=0) + np.min(flat, axis=0))
     v = np.asarray(u.values) - ref
     if grid.periodic:
-        return _Table(v, v, None, [])
+        return _Table(v, v, None, [], ref)
     M = scheme.weights.shape[0] // 2
     pts, chi = _padded_points(grid, M)
     E = np.zeros((*chi.shape, u.m))
@@ -154,22 +155,16 @@ def _table(u: SampledField, scheme) -> _Table:
     E[stored] = v
     limits = u.exterior.far_limits(u.m)
     g = None if limits is None else [limits(d) - ref for d in scheme.tail_directions]
-    return _Table(v, E, chi, g)
+    return _Table(v, E, chi, g, ref)
 
 
-def _far_magnitude(u: SampledField) -> float:
-    """Crude sup bound used only in truncation-error estimates."""
-    mags = [float(np.max(u.magnitude()))]
-    if u.bound is not None:
-        mags.append(float(u.bound))
-    T = u.grid.truncation_radius
-    probes = T * np.concatenate([np.eye(u.grid.dim), -np.eye(u.grid.dim)])
-    try:
-        g = u.exterior.values(probes, u.m)
-        mags.append(float(np.max(np.sqrt(np.sum(g * g, axis=-1)))))
-    except DomainError:
-        pass
-    return max(mags)
+def _far_magnitude(u: SampledField, t: _Table) -> float:
+    """Crude sup bound used only in truncation-error estimates: the largest
+    |u| the table holds (the stored values and the rule on every padded
+    node), or u.bound when that is larger."""
+    vals = t.E + t.ref
+    sup = float(np.max(np.sqrt(np.sum(vals * vals, axis=-1))))
+    return sup if u.bound is None else max(sup, float(u.bound))
 
 
 def _interior_node_index(u: SampledField, x):
@@ -199,7 +194,7 @@ def _apply(u: SampledField, kernel: KernelSpec, idx=None):
     out = WE - float(np.sum(W)) * v
     for g in t.g or ():
         out += scheme.tail_mass * (g - v)
-    est = 0.0 if t.g is not None else 4.0 * _far_magnitude(u) * scheme.tail_upper
+    est = 0.0 if t.g is not None else 4.0 * _far_magnitude(u, t) * scheme.tail_upper
     return out, est
 
 
@@ -258,7 +253,7 @@ def _bilinear(u: SampledField, w: SampledField, kernel: KernelSpec, idx=None):
                       * (b - _window(tw.E, W, idx, u.grid.periodic)), axis=-1)
         acc = 0.5 * float(np.tensordot(W, diff, axes=W.ndim))
     if tu.g is None or tw.g is None:
-        return acc, 2.0 * _far_magnitude(u) * _far_magnitude(w) * scheme.tail_upper
+        return acc, 2.0 * _far_magnitude(u, tu) * _far_magnitude(w, tw) * scheme.tail_upper
     for gu, gw in zip(tu.g, tw.g):
         acc = acc + 0.5 * scheme.tail_mass * np.sum((a - gu) * (b - gw), axis=-1)
     return acc, 0.0

@@ -4,11 +4,17 @@ The second-difference form of the operator,
 
     L u(x) = 1/2 * integral of (u(x+y) + u(x-y) - 2 u(x)) K(y) dy,
 
-is discretized as a weighted sum over grid offsets.  Weights carry the exact
-kernel mass of the cell (or radial shell) they represent, which tames the
-|y|^(-(n+2s)) singularity uniformly in s:
+is discretized as a weighted sum over grid offsets.  Every admissible kernel
+is read along rays as K(r e) = psi(r, e) * r^(-(n+2s)) with psi bounded
+between (1-s) lam and (1-s) Lam; the power-law kinds (fractional,
+anisotropic) are the ones whose psi is constant along each ray.  The two ray
+integrals _ray and _ray_tail integrate the singular power in closed form
+against psi (frozen per ray, or sampled per subcell for custom profiles), and
+every shell, moment and tail integral below goes through them:
 
-* far field: exact shell mass (1-d) or cell mass (2-d) at the offset node;
+* far field: exact shell mass at the offset node (1-d); in 2-d the ring of
+  cells just outside the inner box is averaged over 6 x 6 subcells and the
+  cells beyond it carry the midpoint value h^2 K(y);
 * near field: the second difference of a C^{1,1} function vanishes
   quadratically at the origin, so the innermost region is integrated against
   moment weights, w_j = y_j^(-2) * integral of y^2 K(y) over the shell in
@@ -18,8 +24,12 @@ kernel mass of the cell (or radial shell) they represent, which tames the
 * tail: beyond the truncation radius the kernel mass is integrated in closed
   form and paired with the exterior rule's constant limit when it has one,
   otherwise reported as an error estimate proportional to Lam * osc * R^(-2s);
-* periodic grids: image shells are folded in exactly (explicit images plus an
-  integral remainder), so periodic evaluations carry no truncation error.
+* periodic line: image shells are folded in exactly (explicit images plus an
+  integral remainder), so 1-d periodic evaluations carry no truncation error
+  beyond the origin cell's own images, which stop at _N_IMAGES periods;
+* 2-d torus: the free-space box out to the truncation radius (by default 4R,
+  two periods) is folded onto the torus and the mass beyond it is spread as
+  a uniform mean field, which is not exact.
 
 Every weight is nonnegative and attached symmetrically to +/- offsets, so the
 bilinear form built on the same weights is positive semidefinite, and the
@@ -44,85 +54,58 @@ __all__ = ["QuadratureScheme", "scheme_for"]
 
 _THETA_NODES = 8192      # angular resolution of 2-d polar integrals
 _N_IMAGES = 64           # explicit periodization images before the integral remainder
-_PSI_SUBDIV = 48         # radial subdivisions for custom-profile shell masses
+_PSI_SUBDIV = 48         # subcells per ray interval on which a custom psi is sampled
 
 
-# -- radial primitives -------------------------------------------------------
+# -- ray integrals -----------------------------------------------------------
 
 
-def _custom_ray(profile, s, n, a, b, extra_power):
-    """integral of r^extra_power * profile(r) over [a, b], vectorized over
-    (a, b) arrays.  The power-law singularity r^(-(n+2s)) is factored out and
-    integrated in closed form per subcell; the bounded remainder
-    psi(r) = profile(r) * r^(n+2s) is sampled at subcell midpoints."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    p = extra_power - (n + 2.0 * s)
-    t = np.linspace(0.0, 1.0, _PSI_SUBDIV + 1)
-    lo = a[:, None] + (b - a)[:, None] * t[None, :-1]
-    hi = a[:, None] + (b - a)[:, None] * t[None, 1:]
-    mid = 0.5 * (lo + hi)
-    psi = np.asarray(profile(mid), dtype=float) * mid ** (n + 2.0 * s)
-    if abs(p + 1.0) < 1e-12:
-        seg = np.log(hi) - np.log(np.maximum(lo, 1e-300))
-    else:
-        seg = (hi ** (p + 1.0) - np.maximum(lo, 0.0) ** (p + 1.0)) / (p + 1.0)
-    return np.sum(psi * seg, axis=1)
+def _ray_psi(kernel: KernelSpec, e):
+    """psi = K(e) along the unit directions e (scalars +/-1 in 1-d, rows in
+    2-d) when it is constant on each ray, as for the power-law kinds; None
+    for custom (radial) profiles, whose psi _ray samples.  Builders evaluate
+    it once and hand it to every _ray and _ray_tail along the same e."""
+    return kernel(e) if kernel.is_power_law() else None
 
 
-def _custom_ray_tail(profile, s, n, r0, extra_power):
-    """integral of r^extra_power * profile(r) over [r0, infinity)."""
-    r0 = float(r0)
-    edges = r0 * np.logspace(0.0, 6.0, 481)
-    main = float(np.sum(_custom_ray(profile, s, n, edges[:-1], edges[1:], extra_power)))
-    # beyond 1e6 * r0 freeze psi at its last sample; admissible profiles make
-    # this a bounded-relative-error remainder of a vanishing quantity
-    rf = edges[-1]
-    psi = float(np.asarray(profile(np.array([rf])))[0]) * rf ** (n + 2.0 * s)
-    p = extra_power - (n + 2.0 * s)
-    return main + psi * rf ** (p + 1.0) / (-(p + 1.0))
+def _profile_psi(kernel: KernelSpec, r):
+    """psi(r) = profile(r) * r^(n+2s) of a custom radial kernel."""
+    return np.asarray(kernel.profile(r), dtype=float) * r ** kernel.singularity_order
 
 
-class _Radial1D:
-    """Closed-form (power-law) or semianalytic (custom) integrals of K along
-    a ray in one dimension: shell mass, second moment, tail and its
-    primitive."""
+def _ray(kernel: KernelSpec, psi, a, b, extra_power):
+    """integral of r^extra_power * K(r e) over [a, b] along each direction e
+    whose psi is psi (see _ray_psi; None samples a custom profile's psi at
+    the midpoints of _PSI_SUBDIV subcells); a, b and psi broadcast.  The
+    singular power is integrated in closed form against psi."""
+    # exponent of the primitive, summed in this order so that the power-law
+    # exponents (-2s, 2 - 2s) come out bit for bit
+    q = (extra_power + 1.0 - kernel.dim) - 2.0 * kernel.s
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if psi is None:
+        edges = a[..., None] + (b - a)[..., None] * np.linspace(0.0, 1.0, _PSI_SUBDIV + 1)
+        lo, hi = edges[..., :-1], edges[..., 1:]
+        return np.sum(_ray(kernel, _profile_psi(kernel, 0.5 * (lo + hi)),
+                           lo, hi, extra_power), axis=-1)
+    if abs(q) < 1e-12:
+        return psi * (np.log(b) - np.log(a))
+    return psi * (b**q - a**q) / q
 
-    def __init__(self, kernel: KernelSpec):
-        self.s = kernel.s
-        self.power_law = kernel.is_power_law()
-        if self.power_law:
-            self.coef = float(kernel(1.0))
-        else:
-            self.profile = kernel.profile
 
-    def mass(self, a, b):
-        if self.power_law:
-            s = self.s
-            return self.coef * (np.asarray(a) ** (-2 * s) - np.asarray(b) ** (-2 * s)) / (2 * s)
-        return _custom_ray(self.profile, self.s, 1, a, b, 0.0)
-
-    def moment2(self, a, b):
-        if self.power_law:
-            s = self.s
-            return self.coef * (np.asarray(b) ** (2 - 2 * s)
-                                - np.asarray(a) ** (2 - 2 * s)) / (2 - 2 * s)
-        return _custom_ray(self.profile, self.s, 1, a, b, 2.0)
-
-    def tail(self, r):
-        if self.power_law:
-            return self.coef * np.asarray(r) ** (-2 * self.s) / (2 * self.s)
-        return _custom_ray_tail(self.profile, self.s, 1, r, 0.0)
-
-    def tail_primitive(self, r):
-        """Primitive of tail(r); used by the periodization remainder."""
-        if not self.power_law:
-            return None
-        s, coef = self.s, self.coef
-        r = np.asarray(r, dtype=float)
-        if abs(s - 0.5) < 1e-13:
-            return coef * np.log(r) / (2 * s)
-        return coef * r ** (1 - 2 * s) / (2 * s * (1 - 2 * s))
+def _ray_tail(kernel: KernelSpec, psi, r0, extra_power):
+    """integral of r^extra_power * K(r e) over [r0, infinity), psi as in
+    _ray; a frozen psi makes it exact.  A custom psi is sampled out to
+    1e6 * r0 and frozen at its last sample beyond; admissible profiles make
+    that a bounded-relative-error remainder of a vanishing quantity."""
+    q = (extra_power + 1.0 - kernel.dim) - 2.0 * kernel.s
+    if psi is None:
+        edges = np.asarray(r0, dtype=float)[..., None] * np.logspace(0.0, 6.0, 481)
+        rf = edges[..., -1]
+        return (np.sum(_ray(kernel, None, edges[..., :-1], edges[..., 1:], extra_power),
+                       axis=-1)
+                + _ray_tail(kernel, _profile_psi(kernel, rf), rf, extra_power))
+    return psi * np.asarray(r0, dtype=float) ** q / -q
 
 
 # -- scheme objects ----------------------------------------------------------
@@ -187,19 +170,15 @@ class QuadratureScheme:
             seg = (edges[1:] ** (2.0 - 2.0 * s) - edges[:-1] ** (2.0 - 2.0 * s)) / (2.0 - 2.0 * s)
             ref = float(np.sum(psi * seg)) / h**2
             return w1 / ref
-        # independent angular rule: Gauss-Legendre per octant, radial closed form
+        # independent angular rule: Gauss-Legendre per octant, radial by _ray
         gx, gw = np.polynomial.legendre.leggauss(48)
         t11 = 0.0
         for oct_lo in np.arange(8) * (np.pi / 4.0):
             th = oct_lo + (gx + 1.0) * (np.pi / 8.0)
             wq = gw * (np.pi / 8.0)
             rmax = self.near_radius / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
-            if self.kernel.is_power_law():
-                rad = rmax ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-                base = self.kernel.angular_profile(th) * rad
-            else:
-                base = _custom_ray(self.kernel.profile, s, 2,
-                                   np.zeros_like(rmax), rmax, 3.0)
+            e = np.stack([np.cos(th), np.sin(th)], axis=-1)
+            base = _ray(self.kernel, _ray_psi(self.kernel, e), 0.0, rmax, 3)
             t11 += float(np.sum(wq * base * np.cos(th) ** 2))
         return w1 / (t11 / (2.0 * h * h))
 
@@ -217,35 +196,35 @@ def _near_shell_count(grid: GridSpec) -> int:
 # -- 1-d construction --------------------------------------------------------
 
 
-def _line_base_weights(radial: _Radial1D, h: float, J: int, q: int) -> np.ndarray:
+def _line_base_weights(kernel: KernelSpec, h: float, J: int, q: int) -> np.ndarray:
+    psi = _ray_psi(kernel, 1.0)
     j = np.arange(1, J + 1)
     a = (j - 0.5) * h
     b = (j + 0.5) * h
     w = np.empty(J)
     far = j > q
     if np.any(far):
-        w[far] = radial.mass(a[far], b[far])
+        w[far] = _ray(kernel, psi, a[far], b[far], 0)
     near = ~far
     if np.any(near):
-        w[near] = radial.moment2(a[near], b[near]) / (j[near] * h) ** 2
+        w[near] = _ray(kernel, psi, a[near], b[near], 2) / (j[near] * h) ** 2
     # the innermost weight integrates the moment from the origin itself
-    w[0] = float(np.asarray(radial.moment2(np.array([0.0]), b[:1])).ravel()[0]) / h**2
+    w[0] = float(_ray(kernel, psi, 0.0, b[:1], 2)[0]) / h**2
     return w
 
 
 def _build_line_scheme(kernel, grid):
     h = grid.h
-    radial = _Radial1D(kernel)
     q = _near_shell_count(grid)
     J = max(q + 2, int(round(grid.truncation_radius / h)))
-    w = _line_base_weights(radial, h, J, q)
+    w = _line_base_weights(kernel, h, J, q)
     T = (J + 0.5) * h
     lam_up = (1.0 - kernel.s) * kernel.Lam
     return QuadratureScheme(
         kernel, grid, near_radius=(q + 0.5) * h,
-        weights=np.concatenate([w[::-1], [0.0], w]),
+        weights=_centred(w),
         tail_directions=(np.array([1.0]), np.array([-1.0])),
-        tail_mass=float(radial.tail(T)),
+        tail_mass=float(_ray_tail(kernel, _ray_psi(kernel, 1.0), T, 0)),
         tail_upper=lam_up * T ** (-2.0 * kernel.s) / (2.0 * kernel.s),
     )
 
@@ -255,8 +234,8 @@ def _build_periodic_line_scheme(kernel, grid):
     N = int(round(P / h))
     J = N // 2
     q = _near_shell_count(grid)
-    radial = _Radial1D(kernel)
-    base = _line_base_weights(radial, h, J, q)
+    psi = _ray_psi(kernel, 1.0)
+    base = _line_base_weights(kernel, h, J, q)
     w = base.copy()
     j = np.arange(1, J + 1)
     y = j * h
@@ -268,44 +247,51 @@ def _build_periodic_line_scheme(kernel, grid):
         yk = y[keep]
         for k in range(1, _N_IMAGES + 1):
             mu = k * P + fam * yk
-            w[keep] += radial.mass(mu - 0.5 * h, mu + 0.5 * h)
+            w[keep] += _ray(kernel, psi, mu - 0.5 * h, mu + 0.5 * h, 0)
+        # images beyond: 1/P times the integral over mu >= mu_inf of the cell
+        # mass, i.e. of the tail mass r K(r) / (2s) (psi frozen) over one cell
         mu_inf = (_N_IMAGES + 0.5) * P + fam * yk
-        prim_hi = radial.tail_primitive(mu_inf + 0.5 * h)
-        if prim_hi is not None:
-            w[keep] += (prim_hi - radial.tail_primitive(mu_inf - 0.5 * h)) / P
-        else:
-            # custom profile: one-term remainder of the image series
-            psi = np.asarray(kernel(mu_inf), dtype=float) * mu_inf ** (1 + 2 * kernel.s)
-            w[keep] += (h / P) * psi * mu_inf ** (-2 * kernel.s) / (2 * kernel.s)
+        cell = _ray(kernel, psi, mu_inf - 0.5 * h, mu_inf + 0.5 * h, 1)
+        w[keep] += cell / (2.0 * kernel.s * P)
     # images of the origin cell at k*P: quadratic model onto the first node
     kk = np.arange(1, _N_IMAGES + 1) * P
     w[0] += float(np.sum(kernel(kk) * h**3 / 12.0)) / h**2
     return QuadratureScheme(kernel, grid, near_radius=(q + 0.5) * h,
-                            weights=_torus_fold(w, N), window=_torus_fold(base, N))
+                            weights=_torus_fold(_centred(w), N),
+                            window=_torus_fold(_centred(base), N))
 
 
-def _torus_fold(w: np.ndarray, N: int) -> np.ndarray:
-    """Pair weights at offsets +/-1..+/-J (J = N // 2) as node weights on the
-    torus shifts 0..N-1; on even N the half-period shift collects both."""
-    J = w.size
-    W = np.zeros(N)
-    W[1 : J + 1] = w
-    W[N - J :] += w[::-1]
-    return W
+def _centred(w: np.ndarray) -> np.ndarray:
+    """Pair weights at offsets 1..J as the centred offset array [-J..J]."""
+    return np.concatenate([w[::-1], [0.0], w])
+
+
+def _torus_fold(W: np.ndarray, N: int) -> np.ndarray:
+    """A centred offset array of any dimension folded onto the torus shifts
+    0..N-1 per axis; on even N the half-period shift collects both members
+    of its pair."""
+    M = W.shape[0] // 2
+    idx = np.mod(np.arange(-M, M + 1), N)
+    out = np.zeros((N,) * W.ndim)
+    np.add.at(out, np.ix_(*(idx,) * W.ndim), W)
+    return out
 
 
 # -- 2-d construction --------------------------------------------------------
 
 
+def _polar_rays(kernel, rbox):
+    """_THETA_NODES equispaced angles, the distance rbox / max(|cos|, |sin|)
+    to the square |y|_inf = rbox along each, and psi along each."""
+    th = np.linspace(0.0, 2.0 * np.pi, _THETA_NODES, endpoint=False)
+    r = rbox / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
+    return th, r, _ray_psi(kernel, np.stack([np.cos(th), np.sin(th)], axis=-1))
+
+
 def _box_moments(kernel, rbox):
     """T_ab = integral of y_a y_b K(y) over the square |y|_inf <= rbox."""
-    th = np.linspace(0.0, 2.0 * np.pi, _THETA_NODES, endpoint=False)
-    rmax = rbox / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
-    s = kernel.s
-    if kernel.is_power_law():
-        base = kernel.angular_profile(th) * rmax ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    else:
-        base = _custom_ray(kernel.profile, s, 2, np.zeros_like(rmax), rmax, 3.0)
+    th, rmax, psi = _polar_rays(kernel, rbox)
+    base = _ray(kernel, psi, 0.0, rmax, 3)
     t11 = float(np.mean(base * np.cos(th) ** 2) * 2.0 * np.pi)
     t22 = float(np.mean(base * np.sin(th) ** 2) * 2.0 * np.pi)
     t12 = float(np.mean(base * np.sin(th) * np.cos(th)) * 2.0 * np.pi)
@@ -314,14 +300,11 @@ def _box_moments(kernel, rbox):
 
 def _square_tail_mass(kernel, R):
     """Kernel mass outside the square |y|_inf > R."""
-    th = np.linspace(0.0, 2.0 * np.pi, _THETA_NODES, endpoint=False)
-    rmin = R / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
-    s = kernel.s
-    if kernel.is_power_law():
-        return float(np.mean(kernel.angular_profile(th)
-                             * rmin ** (-2.0 * s) / (2.0 * s)) * 2.0 * np.pi)
-    sub = _THETA_NODES // 512
-    vals = [_custom_ray_tail(kernel.profile, s, 2, r, 1.0) for r in rmin[::sub]]
+    _, rmin, psi = _polar_rays(kernel, R)
+    if psi is not None:
+        return float(np.mean(_ray_tail(kernel, psi, rmin, 1)) * 2.0 * np.pi)
+    # a sampled tail costs 480 * _PSI_SUBDIV profile values: 512 directions
+    vals = [_ray_tail(kernel, None, r, 1) for r in rmin[:: _THETA_NODES // 512]]
     return float(np.mean(vals) * 2.0 * np.pi)
 
 
@@ -389,10 +372,8 @@ def _build_plane_scheme(kernel, grid):
 
 def _build_periodic_plane_scheme(kernel, grid):
     plane = _build_plane_scheme(kernel, grid)
-    N, M = grid.shape[0], plane.weights.shape[0] // 2
-    idx = np.mod(np.arange(-M, M + 1), N)
-    W = np.zeros((N, N))
-    np.add.at(W, (idx[:, None], idx[None, :]), plane.weights)
+    N = grid.shape[0]
+    W = _torus_fold(plane.weights, N)
     # spread the mass beyond the truncation square as a mean-field term
     W += plane.tail_mass / N**2
     W[0, 0] = 0.0

@@ -17,7 +17,7 @@ from fracsys import (DomainError, GridSpec, SampledField, apply_fractional_lapla
                      bilinear_form_field, callback_rule, constant_rule,
                      make_anisotropic_kernel, make_custom_kernel, make_fractional_kernel,
                      periodic_rule, s_energy, sign_rule, zero_rule)
-from fracsys.quadrature import _line_base_weights, _near_shell_count, _Radial1D, scheme_for
+from fracsys.quadrature import _line_base_weights, _near_shell_count, scheme_for
 
 RTOL = 1e-9
 
@@ -132,7 +132,7 @@ def loop_periodic(u, scheme):
     w = scheme.weights[1 : N // 2 + 1].copy()
     if N % 2 == 0:
         w[-1] /= 2.0  # the half-period shift holds both members of its pair
-    base = _line_base_weights(_Radial1D(scheme.kernel), grid.h, N // 2, _near_shell_count(grid))
+    base = _line_base_weights(scheme.kernel, grid.h, N // 2, _near_shell_count(grid))
     lap, bil = np.zeros_like(v), np.zeros(N)
     g_int, g_img = np.zeros(N), np.zeros(N)
     for j in range(1, w.size + 1):

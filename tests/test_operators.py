@@ -133,6 +133,17 @@ class TestApply:
         _, est1 = apply_LK_field(f_cb, make_fractional_kernel(1, 0.5))
         assert est1 > 0.0
 
+    def test_truncation_estimate_sees_off_axis_data(self):
+        # exterior data that vanishes on both axes but not between them
+        grid = free_grid(h=1 / 8, dim=2)
+        rule = callback_rule(lambda p: np.tanh(np.abs(p[:, :1] * p[:, 1:2]) / 4.0))
+        u = SampledField(grid, np.zeros((*grid.shape, 1)), rule)
+        k = make_fractional_kernel(2, 0.5)
+        _, est_apply = apply_LK_field(u, k)
+        _, est_bilinear = bilinear_form_field(u, u, k)
+        assert est_apply > 0.0
+        assert est_bilinear > 0.0
+
     def test_comparison_monotone(self):
         # u <= w with u(x0) = w(x0) forces L u(x0) <= L w(x0)
         grid = free_grid(h=1 / 64)
@@ -410,6 +421,25 @@ class TestCustomPlaneKernel:
         rng = np.random.default_rng(5)
         v = SampledField(grid, rng.normal(size=(*grid.shape, 1)), zero_rule())
         assert square_identity_check(v, custom) <= 1e-12
+
+
+class TestCustomLineKernel:
+    """A custom 1-d kernel with the fractional profile c r^(-1-2s) runs the
+    sampled-psi ray integrals of the shells, the tail and the periodic
+    images; it must reproduce the fractional line scheme."""
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.6])
+    @pytest.mark.parametrize("grid", [free_grid(h=1 / 32), periodic_grid(64),
+                                      periodic_grid(45)], ids=["free", "N64", "N45"])
+    def test_matches_fractional_scheme(self, s, grid):
+        frac = make_fractional_kernel(1, s)
+        c, p = frac.c_ns, 1.0 + 2.0 * s
+        custom = make_custom_kernel(lambda r: c * r ** (-p), s, 1, frac.lam, frac.Lam)
+        assert not custom.is_power_law()
+        a, b = scheme_for(frac, grid), scheme_for(custom, grid)
+        assert np.max(np.abs(b.weights - a.weights)) <= 1e-14 * np.max(a.weights)
+        assert b.tail_mass == pytest.approx(a.tail_mass, rel=1e-14, abs=0.0)
+        assert abs(b.innermost_moment_ratio() - a.innermost_moment_ratio()) <= 1e-14
 
 
 class TestOrderExtremes:

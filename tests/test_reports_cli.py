@@ -175,6 +175,28 @@ class TestCli:
         assert not (out / "field.fsf1").exists()
         assert "FSF1" in capsys.readouterr().err
 
+    def test_non_numeric_grid_step_exits_two(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, {
+            "command": "solve-linear",
+            "grid": {"dim": 1, "h": "x", "radius": 1.0},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["solve-linear", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "grid.h" in err
+
+    def test_non_numeric_amplitude_exits_two(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, {
+            "command": "solve-harmonic",
+            "kernel": {"s": 0.5},
+            "grid": {"dim": 1, "h": 1 / 16, "radius": 1.0},
+            "solver": {"steps": 50, "amplitude": "$amplitude"},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["solve-harmonic", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "solver.amplitude" in err
+
     def test_solver_error_exits_three_with_diagnostics(self, tmp_path, monkeypatch,
                                                        capsys):
         def fail(problem):
