@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,14 @@ def _matrix(raw) -> np.ndarray:
 
 SCHEMA_VERSION = 1
 
+# the keys each config section may carry (README, "Sections")
+SECTION_KEYS = {
+    "kernel": {"kind", "s", "matrix", "lambda", "Lambda"},
+    "grid": {f.name for f in fields(GridSpec)},
+    "bounds": {f.name for f in fields(GrowthBounds)},
+    "solver": {"rhs", "steps", "tol", "epsilon", "amplitude", "levels", "wavenumber"},
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -84,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}")
         known = {f for f in ExperimentConfig.__dataclass_fields__}
         unknown = set(raw) - known
+        unknown |= {f"{sec}.{k}" for sec, keys in SECTION_KEYS.items()
+                    for k in raw.get(sec, {}) if k not in keys}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if _number("schema_version", raw.get("schema_version", SCHEMA_VERSION),

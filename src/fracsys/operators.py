@@ -8,10 +8,16 @@ shift on periodic grids.  Every evaluation is built from the one
 correlation (W*f)(x) = sum_k W_k f(x+k): an FFT correlation over the values
 padded by the rule's exterior data in free space, a circular one on the
 torus.  L u = W*u - S u (S = sum_k W_k) plus the closed-form tail, and the
-bilinear form and the energy follow from the polarization identity
+bilinear form follows from the polarization identity
 
     sum_k W_k (a(x) - a(x+k)) (b(x) - b(x+k))
         = S a b - (a (W*b) + b (W*a)) + W*(a b).
+
+The order-s energy is B(u, u) summed over the domain, on every grid: pairs
+with both ends in the domain are counted once, pairs that reach the
+complement (free space only; the torus has none) in full.  Its interior part
+is the same pair sum masked by the interior indicator, through the same
+correlator.
 
 The pointwise identity
 
@@ -109,14 +115,11 @@ def _window(E: np.ndarray, W: np.ndarray, idx: tuple, periodic: bool):
 
 
 def _padded_points(grid: GridSpec, M: int):
-    """Node coordinates of the grid padded by M nodes per side, and the
-    interior-ball indicator of each."""
+    """Node coordinates of the grid padded by M nodes per side."""
     ax = grid.axis()
     full = np.concatenate([ax[0] + grid.h * np.arange(-M, 0), ax,
                            ax[-1] + grid.h * np.arange(1, M + 1)])
-    pts = np.stack(np.meshgrid(*([full] * grid.dim), indexing="ij"), axis=-1)
-    chi = np.sqrt(np.sum(pts * pts, axis=-1)) < grid.radius - 1e-12
-    return pts, chi
+    return np.stack(np.meshgrid(*([full] * grid.dim), indexing="ij"), axis=-1)
 
 
 def _rule_values(rule: ExteriorRule, pts: np.ndarray, m: int) -> np.ndarray:
@@ -129,7 +132,6 @@ def _rule_values(rule: ExteriorRule, pts: np.ndarray, m: int) -> np.ndarray:
 class _Table(NamedTuple):
     v: np.ndarray              # stored values, shifted
     E: np.ndarray              # values the correlation reads, shifted
-    chi: Optional[np.ndarray]  # interior indicator on E's positions (free space)
     g: Optional[list]          # shifted far limits per tail direction, or None
     ref: np.ndarray            # the shift: the midpoint of the stored range
 
@@ -144,18 +146,18 @@ def _table(u: SampledField, scheme) -> _Table:
     ref = 0.5 * (np.max(flat, axis=0) + np.min(flat, axis=0))
     v = np.asarray(u.values) - ref
     if grid.periodic:
-        return _Table(v, v, None, [], ref)
+        return _Table(v, v, [], ref)
     M = scheme.weights.shape[0] // 2
-    pts, chi = _padded_points(grid, M)
-    E = np.zeros((*chi.shape, u.m))
+    pts = _padded_points(grid, M)
+    E = np.zeros((*pts.shape[:-1], u.m))
     stored = (slice(M, M + grid.shape[0]),) * grid.dim
-    out = np.ones(chi.shape, dtype=bool)
+    out = np.ones(pts.shape[:-1], dtype=bool)
     out[stored] = False
     E[out] = _rule_values(u.exterior, pts[out], u.m) - ref
     E[stored] = v
     limits = u.exterior.far_limits(u.m)
     g = None if limits is None else [limits(d) - ref for d in scheme.tail_directions]
-    return _Table(v, E, chi, g, ref)
+    return _Table(v, E, g, ref)
 
 
 def _far_magnitude(u: SampledField, t: _Table) -> float:
@@ -231,20 +233,22 @@ def apply_fractional_laplacian(u: SampledField, s: float, x) -> float:
 # -- bilinear form ------------------------------------------------------------
 
 
-def _check_same_discretization(u: SampledField, w: SampledField):
+def _tables(u: SampledField, w: SampledField, kernel: KernelSpec):
+    """The scheme binding kernel to the fields' one grid, and their tables."""
     if u.grid != w.grid:
         raise DomainError("fields must share one grid")
-
-
-def _bilinear(u: SampledField, w: SampledField, kernel: KernelSpec, idx=None):
-    """B_K(u, w) at every stored node, or at the node idx only."""
-    _check_same_discretization(u, w)
     scheme = scheme_for(kernel, u.grid)
-    W = scheme.weights
     tu = _table(u, scheme)
-    tw = tu if w is u else _table(w, scheme)
+    return scheme, tu, tu if w is u else _table(w, scheme)
+
+
+def _bilinear(u: SampledField, w: SampledField, scheme, tu: _Table, tw: _Table,
+              corr=None, idx=None):
+    """B(u, w) and its truncation estimate from the tables tu, tw: at every
+    stored node through corr, the correlator of the weights over the tables,
+    or at the node idx only."""
+    W = scheme.weights
     if idx is None:
-        corr = _correlator(W, tu.E.shape[:-1], u.grid.periodic)
         a, b = tu.v, tw.v
         acc = 0.5 * _pair_sum(corr, float(np.sum(W)), a, b, tu.E, tw.E)
     else:
@@ -261,11 +265,14 @@ def _bilinear(u: SampledField, w: SampledField, kernel: KernelSpec, idx=None):
 
 def bilinear_form_field(u: SampledField, w: SampledField, kernel: KernelSpec):
     """B_K(u, w) at every stored node; nonnegative for u = w."""
-    return _bilinear(u, w, kernel)
+    scheme, tu, tw = _tables(u, w, kernel)
+    corr = _correlator(scheme.weights, tu.E.shape[:-1], u.grid.periodic)
+    return _bilinear(u, w, scheme, tu, tw, corr=corr)
 
 
 def bilinear_form(u: SampledField, w: SampledField, kernel: KernelSpec, x) -> float:
-    vals, _ = _bilinear(u, w, kernel, _interior_node_index(u, x))
+    idx = _interior_node_index(u, x)
+    vals, _ = _bilinear(u, w, *_tables(u, w, kernel), idx=idx)
     return float(vals)
 
 
@@ -274,11 +281,16 @@ def bilinear_form(u: SampledField, w: SampledField, kernel: KernelSpec, x) -> fl
 
 @dataclass(frozen=True)
 class EnergyValue:
-    """Order-s energy split into the domain-domain part and the tail that
-    couples the domain with its complement; total = interior + tail."""
+    """Order-s energy h^n sum over the domain of B(u, u), split into the part
+    from pairs with both ends in the domain and the tail from pairs that
+    reach its complement (0.0 on the torus, which has none); total =
+    interior + tail.  truncation_estimate bounds the far tail left out when
+    the exterior rule has no closed-form far field (h^n |domain| times B's
+    estimate), 0 otherwise."""
 
     interior_part: float
     tail_part: float
+    truncation_estimate: float
 
     @property
     def total(self) -> float:
@@ -286,37 +298,26 @@ class EnergyValue:
 
 
 def s_energy(u: SampledField, s: float) -> EnergyValue:
-    """Energy of order s: quarter-weighted double sum over interior pairs
-    plus half-weighted interior-exterior sum, diagonal handled by the shared
-    near-field moment rule."""
+    """Energy of order s: h^n sum over the domain of B(u, u).  Pairs with both
+    ends in the domain come in twice at half weight, so the interior part is
+    a quarter of the pair sum masked by the interior indicator chi, and the
+    tail is the rest.  For zero exterior data, and always on the torus, the
+    total is (1/2) <u, -L u>."""
     grid = u.grid
-    if grid.dim == 2 and grid.periodic:
-        raise DomainError("s_energy supports 1-d grids and free-space 2-d grids")
-    scheme = scheme_for(make_fractional_kernel(grid.dim, s), grid)
-    hvol = grid.h**grid.dim
-    W = scheme.weights
-    t = _table(u, scheme)
-    if grid.periodic:
-        # principal-window pairs count as interior, image pairs as tail
-        parts = []
-        for Wp in (scheme.window, W - scheme.window):
-            corr = _correlator(Wp, grid.shape, True)
-            parts.append(float(np.sum(_pair_sum(corr, float(np.sum(Wp)),
-                                                t.v, t.v, t.E, t.E))))
-        return EnergyValue(0.25 * hvol * parts[0], 0.5 * hvol * parts[1])
-    corr = _correlator(W, t.chi.shape, False)
-    chi = t.chi.astype(float)
-    Em = t.E * chi[..., None]
-    g_all = _pair_sum(corr, float(np.sum(W)), t.v, t.v, t.E, t.E)
-    g_int = _pair_sum(corr, corr(chi), t.v, t.v, Em, Em)
+    scheme, t, _ = _tables(u, u, make_fractional_kernel(grid.dim, s))
+    corr = _correlator(scheme.weights, t.E.shape[:-1], grid.periodic)
+    B, est = _bilinear(u, u, scheme, t, t, corr=corr)
     inside = grid.interior_mask()
-    tail_closed = 0.0
-    for g in t.g or ():
-        tail_closed += float(np.sum(
-            scheme.tail_mass * np.sum((t.v - g) ** 2, axis=-1)[inside]))
-    interior = 0.25 * hvol * float(np.sum(g_int[inside]))
-    tail = 0.5 * hvol * (float(np.sum((g_all - g_int)[inside])) + tail_closed)
-    return EnergyValue(interior, max(tail, 0.0) if grid.dim == 2 else tail)
+    hvol = grid.h**grid.dim
+    total = hvol * float(np.sum(B[inside]))
+    est = hvol * int(np.count_nonzero(inside)) * est
+    if grid.periodic:
+        return EnergyValue(0.5 * total, 0.0, est)
+    chi = np.pad(inside, scheme.weights.shape[0] // 2).astype(float)
+    Em = t.E * chi[..., None]
+    masked = _pair_sum(corr, corr(chi), t.v, t.v, Em, Em)
+    interior = 0.25 * hvol * float(np.sum(masked[inside]))
+    return EnergyValue(interior, total - 2.0 * interior, est)
 
 
 # -- spectral oracle -----------------------------------------------------------

@@ -126,9 +126,6 @@ class QuadratureScheme:
     tail_directions   one unit vector per tail_mass the exterior rule's far
                       limit is read along: both rays in 1-d, one in 2-d (the
                       limit is direction independent), none on the torus;
-    window            periodic line only: the part of weights inside the
-                      principal window, without the images (the interior
-                      part of the energy);
     tail_mass         kernel mass beyond the truncation cutoff along one ray
                       (1-d) / outside the truncation square (2-d); zero for
                       periodic schemes (images folded in);
@@ -144,7 +141,6 @@ class QuadratureScheme:
     near_radius: float
     weights: np.ndarray
     tail_directions: tuple = ()
-    window: np.ndarray = None
     tail_mass: float = 0.0
     tail_upper: float = 0.0
     dropped_cross_moment: float = 0.0
@@ -235,8 +231,7 @@ def _build_periodic_line_scheme(kernel, grid):
     J = N // 2
     q = _near_shell_count(grid)
     psi = _ray_psi(kernel, 1.0)
-    base = _line_base_weights(kernel, h, J, q)
-    w = base.copy()
+    w = _line_base_weights(kernel, h, J, q)
     j = np.arange(1, J + 1)
     y = j * h
     self_mirror = (N % 2 == 0)
@@ -257,8 +252,7 @@ def _build_periodic_line_scheme(kernel, grid):
     kk = np.arange(1, _N_IMAGES + 1) * P
     w[0] += float(np.sum(kernel(kk) * h**3 / 12.0)) / h**2
     return QuadratureScheme(kernel, grid, near_radius=(q + 0.5) * h,
-                            weights=_torus_fold(_centred(w), N),
-                            window=_torus_fold(_centred(base), N))
+                            weights=_torus_fold(_centred(w), N))
 
 
 def _centred(w: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from fracsys import (DomainError, GridSpec, SampledField, apply_fractional_lapla
                      bilinear_form_field, callback_rule, constant_rule,
                      make_anisotropic_kernel, make_custom_kernel, make_fractional_kernel,
                      periodic_rule, s_energy, sign_rule, zero_rule)
-from fracsys.quadrature import _line_base_weights, _near_shell_count, scheme_for
+from fracsys.quadrature import scheme_for
 
 RTOL = 1e-9
 
@@ -125,16 +125,15 @@ def loop_energy(u, s):
 
 def loop_periodic(u, scheme):
     """Apply, B(u, u) and the two energy parts on the torus, one shift at a
-    time (the energy's principal-window and image weights kept apart)."""
+    time (every pair has both ends in the domain: no tail)."""
     grid = u.grid
     N = grid.shape[0]
     v = np.asarray(u.values)
     w = scheme.weights[1 : N // 2 + 1].copy()
     if N % 2 == 0:
         w[-1] /= 2.0  # the half-period shift holds both members of its pair
-    base = _line_base_weights(scheme.kernel, grid.h, N // 2, _near_shell_count(grid))
     lap, bil = np.zeros_like(v), np.zeros(N)
-    g_int, g_img = np.zeros(N), np.zeros(N)
+    g = np.zeros(N)
     for j in range(1, w.size + 1):
         vp, vm = np.roll(v, -j, axis=0), np.roll(v, j, axis=0)
         if 2 * j == N:  # the half-period shell is its own mirror
@@ -143,9 +142,8 @@ def loop_periodic(u, scheme):
             lap += w[j - 1] * (vp + vm - 2.0 * v)
         both = np.sum((v - vp) ** 2, axis=-1) + np.sum((v - vm) ** 2, axis=-1)
         bil += 0.5 * w[j - 1] * both
-        g_int += base[j - 1] * both
-        g_img += (w[j - 1] - base[j - 1]) * both
-    return lap, bil, (0.25 * grid.h * float(np.sum(g_int)), 0.5 * grid.h * float(np.sum(g_img)))
+        g += w[j - 1] * both
+    return lap, bil, (0.25 * grid.h * float(np.sum(g)), 0.0)
 
 
 def loop_assemble(kernel, grid, rule, m):
@@ -273,6 +271,30 @@ def test_periodic_line_matches_loops(s, m, h):
     assert_close([e.interior_part, e.tail_part], parts, "periodic energy parts")
     assert_close(apply_LK(u.component(0), kernel, [0.5]), lap[grid.index_of([0.5])][0],
                  "periodic pointwise L_K u", scale=np.max(np.abs(lap)))
+
+
+def loop_torus_energy(u, scheme):
+    """The two energy parts on the 2-d torus, one shift at a time: a quarter
+    of h^2 sum over x and k of W_k |u(x) - u(x+k)|^2, and no tail."""
+    v = np.asarray(u.values)
+    W = scheme.weights
+    total = 0.0
+    for a, b in np.ndindex(W.shape):
+        shifted = np.roll(v, (-a, -b), axis=(0, 1))
+        total += W[a, b] * float(np.sum((v - shifted) ** 2))
+    return 0.25 * u.grid.h**2 * total, 0.0
+
+
+@pytest.mark.parametrize("s", [0.3, 0.9])
+@pytest.mark.parametrize("n", [8, 9])
+def test_plane_torus_energy_matches_loop(n, s):
+    grid = GridSpec(dim=2, h=2.0 / n, radius=1.0, periodic=True)
+    rng = np.random.default_rng(5)
+    u = SampledField(grid, rng.normal(size=(*grid.shape, 2)), periodic_rule())
+    e = s_energy(u, s)
+    ref = loop_torus_energy(u, scheme_for(make_fractional_kernel(2, s), grid))
+    assert_close([e.interior_part, e.tail_part], ref, "2-d torus energy parts")
+    assert e.tail_part == 0.0
 
 
 # -- the 2-d assembly load -------------------------------------------------------

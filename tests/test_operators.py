@@ -276,6 +276,40 @@ class TestEnergy:
         e2 = s_energy(f.with_values(-np.asarray(f.values)), 0.5)
         assert e.total == pytest.approx(e2.total, rel=1e-13)
 
+    @pytest.mark.parametrize("s", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("grid", [
+        free_grid(h=1 / 32), free_grid(h=1 / 8, dim=2),
+        GridSpec(dim=1, h=2 / 45, radius=1.0, periodic=True), periodic_grid(64),
+        periodic_grid(32, dim=2), GridSpec(dim=2, h=2 / 33, radius=1.0, periodic=True)],
+        ids=["free-1d", "free-2d", "torus-1d-45", "torus-1d-64", "torus-2d-32",
+             "torus-2d-33"])
+    def test_energy_is_half_the_quadratic_form(self, grid, s):
+        # zero exterior data (free space) or no complement (torus): the energy
+        # is (1/2) h^n sum over the domain of u (-Delta)^s u
+        rng = np.random.default_rng(int(100 * s))
+        inside = grid.interior_mask()
+        vals = rng.normal(size=(*grid.shape, 1)) * inside[..., None]
+        u = SampledField(grid, vals, periodic_rule() if grid.periodic else zero_rule())
+        lap, _ = apply_fractional_laplacian_field(u, s)
+        quad = 0.5 * grid.h**grid.dim * float(np.sum((vals * lap)[inside]))
+        e = s_energy(u, s)
+        assert e.total == pytest.approx(quad, rel=1e-12)
+        if grid.periodic:
+            assert e.tail_part == 0.0
+
+    def test_truncation_estimate_for_rules_without_far_limit(self):
+        grid = free_grid(h=1 / 32)
+        k = make_fractional_kernel(1, 0.5)
+        f_cb = field_from_function(grid, lambda p: np.cos(p[:, 0]),
+                                   callback_rule(lambda p: np.cos(p[:, :1])), m=1)
+        e = s_energy(f_cb, 0.5)
+        _, est_b = bilinear_form_field(f_cb, f_cb, k)
+        n_int = int(np.count_nonzero(grid.interior_mask()))
+        assert e.truncation_estimate > 0.0
+        assert e.truncation_estimate == pytest.approx(grid.h * n_int * est_b, rel=1e-14)
+        f_zero = SampledField(grid, f_cb.values, zero_rule())
+        assert s_energy(f_zero, 0.5).truncation_estimate == 0.0
+
 
 class TestSpectral:
     def test_cosine_eigenfunction(self):

@@ -197,6 +197,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "solver.amplitude" in err
 
+    @pytest.mark.parametrize("command,section,good,bad", [
+        ("solve-linear", "kernel", {"kind": "fractional", "s": 0.5}, "matrx"),
+        ("solve-linear", "grid", {"dim": 1, "h": 1 / 16, "radius": 1.0}, "hh"),
+        ("solve-linear", "solver", {"rhs": 1.0}, "rhz"),
+        ("audit", "bounds", {"a": 1.0, "a_star": 0.0, "M": 1.0}, "MM"),
+    ], ids=["kernel", "grid", "solver", "bounds"])
+    def test_unknown_section_key_exits_two(self, tmp_path, capsys, command, section,
+                                           good, bad):
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, {
+            "command": command,
+            "grid": {"dim": 1, "h": 1 / 16, "radius": 1.0},
+            section: {**good, bad: 1.0},
+            "output_dir": str(out),
+        })
+        assert main([command, "--config", cfg]) == 2
+        assert f"{section}.{bad}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_error_exits_three_with_diagnostics(self, tmp_path, monkeypatch,
                                                        capsys):
         def fail(problem):
