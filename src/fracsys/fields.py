@@ -50,7 +50,8 @@ class GridSpec:
 
     h is the spacing, radius the interior-ball radius R, truncation_radius
     the outer cutoff for tail quadrature (at least 4R).  Periodic grids hold
-    one period of length 2R per axis.
+    one period of length 2R per axis; their images are summed exactly, so
+    they accept only the default truncation_radius 4R.
     """
 
     dim: int
@@ -71,6 +72,9 @@ class GridSpec:
         if self.truncation_radius < 4.0 * self.radius - 1e-12:
             raise DomainError("truncation_radius must be at least 4 * radius")
         if self.periodic:
+            if self.truncation_radius > 4.0 * self.radius + 1e-12:
+                raise DomainError("periodic grids sum their images exactly and "
+                                  "take no truncation_radius")
             n = self.period / self.h
             if abs(n - round(n)) > 1e-9 or round(n) < 4:
                 raise DomainError("periodic grid needs h dividing the period 2R")

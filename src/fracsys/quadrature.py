@@ -27,9 +27,11 @@ every shell, moment and tail integral below goes through them:
 * periodic line: image shells are folded in exactly (explicit images plus an
   integral remainder), so 1-d periodic evaluations carry no truncation error
   beyond the origin cell's own images, which stop at _N_IMAGES periods;
-* 2-d torus: the free-space box out to the truncation radius (by default 4R,
-  two periods) is folded onto the torus and the mass beyond it is spread as
-  a uniform mean field, which is not exact.
+* 2-d torus: the cell weights above on the principal window |j|_inf <= N//2
+  plus the exact lattice images h^2 sum_{n != 0} K(hj + nP), summed by Ewald
+  splitting, folded onto the torus; this needs a power-law kernel (a custom
+  profile has no closed-form lattice sum and is refused).  The truncation
+  radius plays no part on either torus.
 
 Every weight is nonnegative and attached symmetrically to +/- offsets, so the
 bilinear form built on the same weights is positive semidefinite, and the
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gamma, gammainc, gammaincc
 
 from .errors import DomainError
 from .fields import GridSpec
@@ -55,6 +58,7 @@ __all__ = ["QuadratureScheme", "scheme_for"]
 _THETA_NODES = 8192      # angular resolution of 2-d polar integrals
 _N_IMAGES = 64           # explicit periodization images before the integral remainder
 _PSI_SUBDIV = 48         # subcells per ray interval on which a custom psi is sampled
+_EWALD_CUT = 50.0        # Gaussian exponent beyond which Ewald terms (< 1e-20) are dropped
 
 
 # -- ray integrals -----------------------------------------------------------
@@ -122,13 +126,16 @@ class QuadratureScheme:
     weights           the node weights as one offset array: shape (2M+1,)*dim
                       with the zero offset at the centre in free space,
                       (N,)*dim indexed by torus shift (0 = zero offset) on
-                      periodic grids, where the images are folded in;
+                      periodic grids, where every image is folded in (the
+                      line's far images through an integral remainder, the
+                      plane's through an exact Ewald lattice sum);
     tail_directions   one unit vector per tail_mass the exterior rule's far
                       limit is read along: both rays in 1-d, one in 2-d (the
                       limit is direction independent), none on the torus;
     tail_mass         kernel mass beyond the truncation cutoff along one ray
                       (1-d) / outside the truncation square (2-d); zero for
-                      periodic schemes (images folded in);
+                      periodic schemes, which have no cutoff (images folded
+                      in);
     tail_upper        same for the Lam-comparison kernel, used for error
                       estimates when the exterior rule has no constant limit;
     dropped_cross_moment
@@ -364,15 +371,80 @@ def _build_plane_scheme(kernel, grid):
     )
 
 
-def _build_periodic_plane_scheme(kernel, grid):
-    plane = _build_plane_scheme(kernel, grid)
+def _lattice_images(kernel, grid, alpha=None):
+    """h^2 * sum over n != 0 of K(h j + n P) at the centred offsets
+    |j|_inf <= N//2 of a power-law kernel K(y) = kappa |z|^(-2 nu), z = A^-1 y,
+    nu = 1 + s, by Ewald splitting on the lattice L = P A^-1 in z: the terms
+    |z + L n|^(-2 nu) Q(nu, alpha |z + L n|^2) in real space, the rest through
+    Poisson summation as one inverse FFT over the reciprocal modes m, with
+    coefficients a^s Gamma(-s, a / alpha), a = pi^2 |A^T m|^2 / P^2.  Terms
+    whose Gaussian exponent reaches _EWALD_CUT are below 1e-20 and dropped.
+    The result does not depend on the splitting width alpha."""
+    h, P, s = grid.h, grid.period, kernel.s
     N = grid.shape[0]
-    W = _torus_fold(plane.weights, N)
-    # spread the mass beyond the truncation square as a mean-field term
-    W += plane.tail_mass / N**2
+    nu = 1.0 + s
+    A = kernel.A if kernel.A is not None else np.eye(2)
+    Ainv = np.linalg.inv(A)
+    det = abs(np.linalg.det(A))
+    sv = np.linalg.svd(A, compute_uv=False)
+    sig = P / sv[0]  # shortest distance scale of L: |L n| >= sig |n|
+    if alpha is None:
+        # real-space terms reach sig/3, short of every image (|z + L n| >=
+        # sig/2 for n != 0 on the window), so only n = 0 is evaluated
+        alpha = _EWALD_CUT * (3.0 / sig) ** 2
+    rc2 = _EWALD_CUT / alpha
+    idx = np.arange(-(N // 2), N // 2 + 1)
+    Y = np.stack(np.meshgrid(idx * h, idx * h, indexing="ij"), axis=-1)
+    # real space; the n = 0 term enters as |z|^(-2 nu) (Q - 1)
+    z = Y @ Ainv.T
+    r2 = np.sum(z * z, axis=-1)
+    r2[N // 2, N // 2] = 1.0  # the zero offset carries no weight
+    out = -(r2 ** -nu)
+    near = r2 < rc2
+    out[near] *= gammainc(nu, alpha * r2[near])
+    # images with (|n|_inf - 1/2) sig < rc reach the window
+    reach = int(np.sqrt(rc2) / sig + 0.5)
+    for n in np.ndindex(2 * reach + 1, 2 * reach + 1):
+        n = np.array(n) - reach
+        if not n.any():
+            continue
+        r2 = np.sum((z + Ainv @ (P * n)) ** 2, axis=-1)
+        near = r2 < rc2
+        out[near] += r2[near] ** -nu * gammaincc(nu, alpha * r2[near])
+    # reciprocal space, folded onto the N^2 torus modes
+    mmax = int(np.ceil(np.sqrt(_EWALD_CUT * alpha) * P / (np.pi * sv[-1])))
+    m = np.stack(np.meshgrid(*(np.arange(-mmax, mmax + 1),) * 2, indexing="ij"), axis=-1)
+    a = (np.pi / P) ** 2 * np.sum((m @ A) ** 2, axis=-1)
+    keep = (a > 0.0) & (a < _EWALD_CUT * alpha)
+    a, x = a[keep], a[keep] / alpha
+    # Gamma(-s, x) = (Gamma(1-s, x) - x^-s e^-x) / (-s)
+    coef = a**s * (gamma(1.0 - s) * gammaincc(1.0 - s, x) - x**-s * np.exp(-x)) / -s
+    C = np.zeros((N, N))
+    np.add.at(C, (m[keep, 0] % N, m[keep, 1] % N), coef)
+    C[0, 0] += alpha**s / s
+    R = np.real(np.fft.ifft2(C)) * (N * N * np.pi * det / (P * P * gamma(nu)))
+    out += R[np.ix_(idx % N, idx % N)]
+    out *= h * h * kernel.c_ns / det
+    # rounding differs at j and -j; the mean makes the images exactly even
+    return 0.5 * (out + out[::-1, ::-1])
+
+
+def _build_periodic_plane_scheme(kernel, grid, alpha=None):
+    if not kernel.is_power_law():
+        raise DomainError("the 2-d torus needs a power-law kernel: a custom "
+                          "profile has no closed-form lattice sum")
+    N = grid.shape[0]
+    q = _near_shell_count(grid)
+    W, dropped = _plane_cell_weights(kernel, grid, N // 2, q)
+    W += _lattice_images(kernel, grid, alpha)
+    if N % 2 == 0:
+        # the window's edge rows and columns are images of each other
+        W[[0, -1], :] *= 0.5
+        W[:, [0, -1]] *= 0.5
+    W = _torus_fold(W, N)
     W[0, 0] = 0.0
-    return QuadratureScheme(kernel, grid, near_radius=plane.near_radius,
-                            weights=W, dropped_cross_moment=plane.dropped_cross_moment)
+    return QuadratureScheme(kernel, grid, near_radius=(q + 0.5) * grid.h,
+                            weights=W, dropped_cross_moment=dropped)
 
 
 @lru_cache(maxsize=16)

@@ -36,6 +36,16 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(dim=1, h=1.0, radius=np.pi, periodic=True)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_periodic_grid_refuses_truncation_radius(self, dim):
+        with pytest.raises(DomainError, match="truncation_radius"):
+            GridSpec(dim=dim, h=2 * np.pi / 16, radius=np.pi, truncation_radius=8 * np.pi,
+                     periodic=True)
+        # the default 4R, given explicitly, is still accepted
+        g = GridSpec(dim=dim, h=2 * np.pi / 16, radius=np.pi, truncation_radius=4 * np.pi,
+                     periodic=True)
+        assert g == GridSpec(dim=dim, h=2 * np.pi / 16, radius=np.pi, periodic=True)
+
     def test_index_of(self):
         g = _grid(h=0.25)
         assert g.points()[g.index_of([0.5])][0] == pytest.approx(0.5)

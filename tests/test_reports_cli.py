@@ -106,6 +106,19 @@ class TestCli:
         assert main(["limit", "--config", cfg]) == 2
         assert "order parameter out of range" in capsys.readouterr().err
 
+    def test_periodic_truncation_radius_exits_two(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, {
+            "command": "limit",
+            "kernel": {"kind": "anisotropic", "matrix": [[2.0, 0.0], [0.0, 1.0]]},
+            "grid": {"dim": 2, "h": 2 * np.pi / 16, "radius": np.pi, "periodic": True,
+                     "truncation_radius": 8 * np.pi},
+            "s_values": [0.9],
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["limit", "--config", cfg]) == 2
+        assert "truncation_radius" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "limit.json").exists()
+
     def test_unknown_command_exits_two(self, tmp_path):
         cfg = self._write_cfg(tmp_path, {"command": "frobnicate"})
         assert main([None, "--config", cfg] if False else ["frobnicate", "--config", cfg]) == 2
