@@ -67,6 +67,14 @@ SECTION_KEYS = {
     "solver": {"rhs", "steps", "tol", "epsilon", "amplitude", "levels", "wavenumber"},
 }
 
+# keys a command never reads; set in its config they would be silently
+# ignored, so they are refused like unknown keys
+UNREAD_KEYS = {
+    "solve-linear": ({f"solver.{k}" for k in SECTION_KEYS["solver"] - {"rhs"}}
+                     | {f"bounds.{k}" for k in SECTION_KEYS["bounds"]}
+                     | {"field_profile", "s_values"}),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -109,6 +117,10 @@ class ExperimentConfig:
             cfg.output_dir = out_override
         if cfg.command not in COMMANDS:
             raise ConfigError(f"unknown command: {cfg.command!r}")
+        given = set(raw) | {f"{sec}.{k}" for sec in SECTION_KEYS for k in raw.get(sec, {})}
+        unread = given & UNREAD_KEYS.get(cfg.command, set())
+        if unread:
+            raise ConfigError(f"{cfg.command} does not read config keys: {sorted(unread)}")
         cfg.s_values = tuple(cfg.s_values)
         return cfg
 

@@ -378,9 +378,13 @@ class AssembledOperator:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^(-1) b by dense Cholesky; SolverError when A is not positive
-        definite to working precision."""
+        definite to working precision.
+
+        cho_factor factors one Fortran-ordered working copy of A, so the
+        solve adds one copy of A to the peak, and A itself is left intact
+        for the residual and the flows' matvecs."""
         try:
-            return scipy.linalg.solve(self.A, b, assume_a="pos")
+            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.A), b)
         except np.linalg.LinAlgError as exc:
             raise SolverError("interior system could not be factorized",
                               condition_estimate=float(np.linalg.cond(self.A))) from exc

@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .fields import (GridSpec, SampledField, _ball_node_values, ball_image_stats,
-                     callback_rule, zero_rule)
+from .enclosing import smallest_enclosing_ball
+from .fields import GridSpec, SampledField, _ball_node_values, callback_rule, zero_rule
 from .kernels import KernelSpec, make_fractional_kernel
 from .operators import apply_LK_field, assemble_dirichlet
 from .quadrature import scheme_for
@@ -275,9 +275,10 @@ def dyadic_ledger(u: SampledField, x0, levels: int, bounds: GrowthBounds,
         raise DomainError(
             f"level {int(np.argmin(resolvable))} needs a finer grid (h={h})")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    stats = [ball_image_stats(u, (x0, r)) for r in radii_x]
-    centers = np.array([st.enclosing_center for st in stats])
-    Mk = np.array([st.enclosing_radius for st in stats])
+    values = [_ball_node_values(u, x0, r) for r in radii_x]
+    balls = [smallest_enclosing_ball(v) for v in values]
+    centers = np.array([c for c, _ in balls])
+    Mk = np.array([r for _, r in balls])
     scale = max(float(Mk.max()), 1e-300)
     k_fit = np.arange(1, levels + 1)
     y = np.log(np.maximum(Mk[1:], 1e-30 * scale))
@@ -289,7 +290,7 @@ def dyadic_ledger(u: SampledField, x0, levels: int, bounds: GrowthBounds,
         slack = max(slack, (Mk[k + 1] - (1.0 - delta_fit) * Mk[k]) / scale)
     containment = 0.0
     for k in range(levels):
-        d = np.linalg.norm(_ball_node_values(u, x0, radii_x[k + 1]) - centers[k], axis=1)
+        d = np.linalg.norm(values[k + 1] - centers[k], axis=1)
         containment = max(containment, float(np.max(d)) - Mk[k])
     if s is not None:
         budget = np.cumsum(2.0 ** (-s * np.arange(levels + 1)))
@@ -301,7 +302,7 @@ def dyadic_ledger(u: SampledField, x0, levels: int, bounds: GrowthBounds,
         shift_budget = np.zeros(levels + 1)
         geometric_margin = float("nan")
     flat_margin = float(np.min(bounds.M * (1.0 - 0.5 * delta_fit) - Mk))
-    finest_mean = float(np.linalg.norm(stats[-1].mean))
+    finest_mean = float(np.linalg.norm(values[-1].mean(axis=0)))
     return DecayLedger(
         levels=np.arange(levels + 1),
         ball_radii=radii_x,

@@ -164,7 +164,16 @@ def _sphere_flow(grid: GridSpec, g: ExteriorRule, s: float, m: int,
     tau = default_flow_step(kernel, grid, op) if tau is None else tau
     if tau * diag >= 2.0:
         raise DomainError("step size exceeds the explicit stability bound")
-    u = _project_sphere(op.solve(op.load))
+    extension = op.solve(op.load)
+    try:
+        u = _project_sphere(extension)
+    except SolverError as exc:
+        # degree-one data (radial_projection) do this by symmetry
+        node = exc.diagnostics["node_index"]
+        raise SolverError(
+            f"the linear extension of the exterior data vanishes at interior "
+            f"node {node}, so the flow has no start on the sphere there",
+            node_index=node) from exc
     # calibrate the additive constant once so the trace reports true energies
     e0 = s_energy(op.field(u), s).total
     floor = 1e-13 * diag  # rounding scale of the operator

@@ -8,7 +8,7 @@ from fracsys import (DomainError, GridSpec, GrowthBounds, LinearProblem, SolverE
                      field_from_function, make_anisotropic_kernel, periodic_rule,
                      read_field_fsf1, s_limit_isotropic, sign_rule, solve_linear_dirichlet,
                      write_field_csv, write_field_fsf1, zero_rule)
-from fracsys.cli import main
+from fracsys.cli import ExperimentConfig, main
 from fracsys.solvers import SolveReport
 
 
@@ -228,6 +228,37 @@ class TestCli:
         assert main([command, "--config", cfg]) == 2
         assert f"{section}.{bad}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"solver": {"rhs": 1.0, "steps": 50}}, "solver.steps"),
+        ({"solver": {"amplitude": 0.5}}, "solver.amplitude"),
+        ({"field_profile": "sign"}, "field_profile"),
+        ({"s_values": [0.5, 0.9]}, "s_values"),
+        ({"bounds": {"a": 1.0, "a_star": 0.0, "M": 1.0}}, "bounds.a"),
+    ], ids=["steps", "amplitude", "field_profile", "s_values", "bounds"])
+    def test_solve_linear_refuses_keys_it_ignores(self, tmp_path, capsys, extra, key):
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, {
+            "command": "solve-linear",
+            "kernel": {"kind": "fractional", "s": 0.5},
+            "grid": {"dim": 1, "h": 1 / 16, "radius": 1.0},
+            "output_dir": str(out),
+            **extra,
+        })
+        assert main(["solve-linear", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, payload", [
+        ("probe-harnack", {"kernel": {"s": 0.5}, "solver": {"steps": 50, "amplitude": 0.6},
+                           "s_values": [0.5, 0.9]}),
+        ("limit", {"kernel": {"s": 0.5}, "s_values": [0.9, 0.95]}),
+        ("probe-decay", {"kernel": {"s": 0.5}, "bounds": {"a": 1.0, "a_star": 0.0, "M": 1.0},
+                         "field_profile": "sign", "solver": {"levels": 3}}),
+    ], ids=["probe-harnack", "limit", "probe-decay"])
+    def test_other_commands_keep_their_keys(self, tmp_path, command, payload):
+        cfg = self._write_cfg(tmp_path, {"command": command, **payload})
+        assert ExperimentConfig.load(cfg).command == command
 
     def test_solver_error_exits_three_with_diagnostics(self, tmp_path, monkeypatch,
                                                        capsys):

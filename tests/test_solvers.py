@@ -6,8 +6,9 @@ import pytest
 from fracsys import (DomainError, GLConfig, GridSpec, LinearProblem,
                      SolverError, callback_rule, constant_rule,
                      euler_lagrange_residual, gradient_flow_s_harmonic,
-                     ginzburg_landau_solve, make_fractional_kernel, s_energy,
-                     solve_linear_dirichlet, zero_rule)
+                     ginzburg_landau_solve, make_fractional_kernel,
+                     radial_projection_rule, s_energy, solve_linear_dirichlet,
+                     zero_rule)
 from fracsys.operators import AssembledOperator, apply_LK_field, assemble_dirichlet
 from fracsys.probe import barrier_bound, supersolution_family
 
@@ -130,6 +131,22 @@ class TestHarmonicFlow:
                                                 np.zeros(len(p))], axis=-1))
         with pytest.raises(DomainError):
             gradient_flow_s_harmonic(grid_b1(h=1 / 32), bad, 0.5, m=2)
+
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["projected", "penalized"])
+    def test_vanishing_start_names_the_cause(self, relaxed):
+        # degree-one data: the linear extension of x/|x| is odd, so it
+        # vanishes at the centre and has no projection to the sphere there
+        grid, g = GridSpec(dim=2, h=1 / 8, radius=1.0), radial_projection_rule()
+        with pytest.raises(SolverError, match="linear extension .* vanishes") as err:
+            if relaxed:
+                ginzburg_landau_solve(GLConfig(epsilon=1e-2, s=0.5, max_steps=5),
+                                      g, grid, m=2)
+            else:
+                gradient_flow_s_harmonic(grid, g, 0.5, m=2, steps=5)
+        node = err.value.diagnostics["node_index"]
+        op = assemble_dirichlet(make_fractional_kernel(2, 0.5), grid, g, m=2)
+        centre = grid.points().reshape(-1, 2)[op.interior_flat[node]]
+        assert np.array_equal(centre, [0.0, 0.0])
 
     def test_rising_energy_aborts(self):
         # a stable but too large step on strongly twisted data: the projection
@@ -279,6 +296,21 @@ class TestOneSolve:
         with pytest.raises(SolverError) as info:
             dataclasses.replace(op, A=-op.A).solve(op.load)
         assert np.isfinite(info.value.diagnostics["condition_estimate"])
+
+    @pytest.mark.parametrize("grid, rule, m", [
+        (grid_b1(h=1 / 64), phase_rule(), 2),
+        (GridSpec(dim=2, h=1 / 8, radius=1.0),
+         callback_rule(lambda p: np.cos(p[:, :1] + 2.0 * p[:, 1:])), 1),
+    ], ids=["1d-m2", "2d-m1"])
+    def test_matches_general_solve_and_keeps_A(self, grid, rule, m):
+        # the Cholesky solve against LAPACK's general solve, and A untouched
+        op = assemble_dirichlet(make_fractional_kernel(grid.dim, 0.5), grid, rule, m=m)
+        b = op.load + np.random.default_rng(3).normal(size=op.load.shape)
+        A_before = op.A.copy()
+        x = op.solve(b)
+        ref = np.linalg.solve(op.A, b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(op.A, A_before)
 
     @pytest.mark.parametrize("caller", [
         "linear", "barrier", "supersolution", "harmonic_flow", "gl_flow"])
