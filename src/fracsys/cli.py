@@ -68,11 +68,14 @@ SECTION_KEYS = {
 }
 
 # keys a command never reads; set in its config they would be silently
-# ignored, so they are refused like unknown keys
+# ignored, so they are refused like unknown keys.  The flows take their
+# exterior data from solver.amplitude (the phase rule), not from exterior.
+_NO_BOUNDS = {f"bounds.{k}" for k in SECTION_KEYS["bounds"]} | {"field_profile", "s_values"}
+_FLOW_UNREAD = _NO_BOUNDS | {"exterior", "solver.rhs", "solver.levels", "solver.wavenumber"}
 UNREAD_KEYS = {
-    "solve-linear": ({f"solver.{k}" for k in SECTION_KEYS["solver"] - {"rhs"}}
-                     | {f"bounds.{k}" for k in SECTION_KEYS["bounds"]}
-                     | {"field_profile", "s_values"}),
+    "solve-linear": {f"solver.{k}" for k in SECTION_KEYS["solver"] - {"rhs"}} | _NO_BOUNDS,
+    "solve-harmonic": _FLOW_UNREAD | {"solver.epsilon"},
+    "solve-gl": _FLOW_UNREAD,
 }
 
 

@@ -38,16 +38,18 @@ same table, correlation and tail as any other field, so the load and its
 truncation estimate read the weights and the rule exactly as L_K does.
 
 Evaluations are pure functions of immutable inputs; applying them at many
-points concurrently needs no shared mutable state.
+points concurrently needs no shared mutable state.  The one mutable piece is
+AssembledOperator.solve_iterations, a log of conjugate-gradient counts that
+no computation reads back.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 from scipy.fft import next_fast_len
 
 from .errors import DomainError, SolverError
@@ -348,46 +350,149 @@ def spectral_apply(u: SampledField, s: float) -> SampledField:
     return u.with_values(out)
 
 
-# -- dense assembly -------------------------------------------------------------
+# -- the interior operator ------------------------------------------------------
+
+
+_CG_RTOL = 1e-13
+
+
+def _cg(matvec, b: np.ndarray, condition_estimate: float):
+    """Conjugate gradients for A x = b on all columns of b at once, from x = 0
+    (Hestenes & Stiefel 1952).  Stops when ||r_j||_2 <= 1e-13 ||b_j||_2 for
+    every column j; a column that gets there keeps its x while the others
+    go on.  Returns (x, iterations).  SolverError, carrying the iteration
+    count and condition_estimate, on breakdown (p.Ap <= 0: A is not positive
+    definite) or when n (the number of unknowns) iterations do not reach the
+    tolerance."""
+    if not np.all(np.isfinite(b)):
+        raise SolverError("right-hand side of the interior system is not finite",
+                          condition_estimate=condition_estimate)
+    r = b.reshape(b.shape[0], -1).copy()
+    x = np.zeros_like(r)
+    p = r.copy()
+    rr = np.sum(r * r, axis=0)
+    goal = _CG_RTOL**2 * rr
+    k = 0
+    while True:
+        active = rr > goal
+        if not np.any(active):
+            return x.reshape(b.shape), k
+        if k == r.shape[0]:
+            raise SolverError(f"conjugate gradients did not converge in {k} iterations",
+                              iterations=k, condition_estimate=condition_estimate)
+        Ap = matvec(p)
+        pAp = np.sum(p * Ap, axis=0)
+        if np.any(pAp[active] <= 0.0):
+            raise SolverError("interior system is not positive definite",
+                              iterations=k, condition_estimate=condition_estimate)
+        alpha = np.divide(rr, pAp, out=np.zeros_like(rr), where=active)
+        x += alpha * p
+        r -= alpha * Ap
+        rr_next = np.sum(r * r, axis=0)
+        p = r + np.divide(rr_next, rr, out=np.zeros_like(rr), where=active) * p
+        rr = rr_next
+        k += 1
 
 
 @dataclass(frozen=True, eq=False)
 class AssembledOperator:
-    """Dense interior form of -L_K with exterior data folded into a load:
+    """Matrix-free interior form of -L_K with exterior data folded into a load:
 
-        (-L u)(interior nodes) = A @ u_interior - load
+        (-L u)(interior nodes) = A @ u_interior - load,
+        A = diagonal * I - (W * .) restricted to the interior nodes.
 
     A is symmetric positive definite (M-matrix: positive diagonal, negative
-    off-diagonal, strictly dominant through the tail mass).  interior_flat
-    indexes the interior nodes in the flattened grid; rule is the exterior
-    data folded into load; hvol is the node volume, used by the quadratic
-    energy form.  Every dense interior solve goes through solve, and field
-    turns its interior values into a full field."""
+    off-diagonal, strictly dominant through the weights that reach beyond
+    the ball).  It is never stored: matvec correlates the interior values,
+    placed in their bounding box (box, with box_mask marking the interior
+    in it, or None where the interior fills it, as in 1-d), with the
+    weights cropped to offsets inside the box (weights_hat: the real FFT of
+    the reversed crop at size fft_shape; the weights hold 0 at the zero
+    offset).  offdiag_sum, the sum of those cropped weights, bounds every row's off-diagonal sum and so gives
+    the Gershgorin condition_estimate.
+
+    interior_flat indexes the interior nodes in the flattened grid; rule is
+    the exterior data folded into load; hvol is the node volume, used by the
+    quadratic energy form.  Every interior solve goes through solve
+    (conjugate gradients; solve_iterations logs each one's iteration count),
+    and field turns interior values into a full field.  The dense matrix A
+    is gathered only on request, as the test oracle."""
 
     grid: GridSpec
     kernel: KernelSpec
     rule: ExteriorRule
-    A: np.ndarray
+    diagonal: float
     load: np.ndarray
     interior_flat: np.ndarray
     hvol: float
     truncation_estimate: float
+    box: tuple
+    box_mask: Optional[np.ndarray]
+    weights_hat: np.ndarray
+    fft_shape: tuple
+    offdiag_sum: float
+    solve_iterations: list = dataclasses.field(default_factory=list, init=False,
+                                               repr=False)
+
+    @property
+    def A(self) -> np.ndarray:
+        """The dense n_interior x n_interior matrix, gathered from the weights a
+        block of rows at a time on every access: A[r, c] = -W[x_c - x_r] off
+        the diagonal.  No solve reads it: it is the tests' oracle."""
+        W = scheme_for(self.kernel, self.grid).weights
+        nodes = np.unravel_index(self.interior_flat, self.grid.shape)
+        off = np.ravel_multi_index(nodes, W.shape)
+        n = off.size
+        A = np.empty((n, n))
+        for r in range(0, n, 64):
+            A[r : r + 64] = -W.ravel()[off[None, :] - off[r : r + 64, None] + W.size // 2]
+        np.fill_diagonal(A, self.diagonal)
+        return A
+
+    @property
+    def condition_estimate(self) -> float:
+        """Gershgorin bound (d + o)/(d - o) on the condition number, with
+        d = |diagonal| and o = offdiag_sum; O(1) once assembled."""
+        d, o = abs(self.diagonal), self.offdiag_sum
+        return (d + o) / (d - o) if d > o else float("inf")
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for x of shape (n_interior,) or (n_interior, m), every column
+        in one real-FFT transform pair."""
+        X = x.reshape(x.shape[0], -1).T
+        axes = tuple(range(1, len(self.box) + 1))
+        if self.box_mask is None:
+            f = X
+        else:
+            f = np.zeros((X.shape[0], *self.box))
+            f[:, self.box_mask] = X
+        g = np.fft.irfftn(np.fft.rfftn(f, s=self.fft_shape, axes=axes) * self.weights_hat,
+                          s=self.fft_shape, axes=axes)
+        g = g[(slice(None),) + tuple(slice(n - 1, 2 * n - 1) for n in self.box)]
+        if self.box_mask is not None:
+            g = g[:, self.box_mask]
+        return (self.diagonal * X - g).T.reshape(x.shape)
 
     def apply_neg_lk(self, u_int: np.ndarray) -> np.ndarray:
-        return self.A @ u_int - self.load
+        return self.matvec(u_int) - self.load
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^(-1) b by dense Cholesky; SolverError when A is not positive
-        definite to working precision.
+        """A^(-1) b by conjugate gradients on all columns of b at once (see
+        _cg); SolverError when A is not positive definite or CG stalls."""
+        x, k = _cg(self.matvec, b, self.condition_estimate)
+        self.solve_iterations.append(k)
+        return x
 
-        cho_factor factors one Fortran-ordered working copy of A, so the
-        solve adds one copy of A to the peak, and A itself is left intact
-        for the residual and the flows' matvecs."""
-        try:
-            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.A), b)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("interior system could not be factorized",
-                              condition_estimate=float(np.linalg.cond(self.A))) from exc
+    def inverse_norm_bound(self) -> float:
+        """Upper bound on ||A^(-1)||_inf.  A is an M-matrix, so A^(-1) >= 0 and
+        ||A^(-1)||_inf = max(A^(-1) 1).  With v from a CG solve of A v = 1
+        and rho = ||1 - A v||_inf, A^(-1) 1 = v + A^(-1)(1 - A v) gives
+        ||A^(-1)||_inf <= max(v) / (1 - rho); inf when rho >= 1.  Calls
+        matvec directly, never solve."""
+        ones = np.ones(self.interior_flat.size)
+        v, _ = _cg(self.matvec, ones, self.condition_estimate)
+        rho = float(np.max(np.abs(ones - self.matvec(v))))
+        return float(np.max(v)) / (1.0 - rho) if rho < 1.0 else float("inf")
 
     def field(self, u_int: np.ndarray, bound=None) -> SampledField:
         """The field with values u_int (n_interior, m) on the interior nodes
@@ -397,10 +502,12 @@ class AssembledOperator:
     def energy_quadratic(self, u_int: np.ndarray) -> float:
         """(1/2) <u, -L u> h^n up to a u-independent constant; tracks the
         order-s energy along flows on a fixed grid."""
-        return self.hvol * (0.5 * float(np.sum(u_int * (self.A @ u_int)))
+        return self.hvol * (0.5 * float(np.sum(u_int * self.matvec(u_int)))
                             - float(np.sum(u_int * self.load)))
 
 
+# interior solves stop here until a benchmark workload covers larger grids;
+# the dense oracle A is checked against up to this size
 _DENSE_CAP = 6000
 
 
@@ -420,10 +527,14 @@ def _dirichlet_field(grid: GridSpec, rule: ExteriorRule, interior_flat: np.ndarr
 
 def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
                        m: int = 1) -> AssembledOperator:
-    """Assemble -L_K on the interior nodes of the grid ball with the given
-    exterior rule supplying all data outside.  The load is L_K of the
-    exterior data alone (zero on the interior nodes), through the same padded
-    table, tail and truncation estimate as every other evaluation."""
+    """-L_K on the interior nodes of the grid ball with the given exterior rule
+    supplying all data outside, matrix-free.  Stores the diagonal (the
+    scheme's, tail mass included, when the rule has a far limit; the sum of
+    the weights otherwise), the interior's bounding box with its mask, and
+    one real FFT of the weights cropped to the box.  The load is L_K of the
+    exterior data alone (zero on the interior nodes), through the same
+    padded table, tail and truncation estimate as every other evaluation.
+    DomainError past _DENSE_CAP unknowns."""
     if grid.periodic:
         raise DomainError("Dirichlet assembly needs a free-space grid")
     scheme = scheme_for(kernel, grid)
@@ -432,16 +543,24 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
     interior_flat = np.flatnonzero(inside)
     n_int = interior_flat.size
     if n_int > _DENSE_CAP:
-        raise DomainError(f"dense assembly capped at {_DENSE_CAP} unknowns")
-    # A[r, c] = -W[x_c - x_r], through flat offsets into W (its centre is the
-    # zero offset), gathered a block of rows at a time (no n_int x n_int
-    # index arrays)
-    off = np.ravel_multi_index(np.argwhere(inside).T, W.shape)
-    A = np.empty((n_int, n_int))
-    for r in range(0, n_int, 64):
-        A[r : r + 64] = -W.ravel()[off[None, :] - off[r : r + 64, None] + W.size // 2]
-    np.fill_diagonal(A, scheme.diagonal() if rule.limit is not None else float(np.sum(W)))
+        raise DomainError(f"interior operator capped at {_DENSE_CAP} unknowns")
+    # the interior's bounding box, and the weights at offsets |k_i| <= L_i - 1:
+    # every pair of interior nodes is that close, and a transform of size
+    # 2 L_i - 1 keeps the box's correlation free of wrap-around
+    nodes = np.argwhere(inside)
+    lo, hi = nodes.min(axis=0), nodes.max(axis=0) + 1
+    box = tuple(int(n) for n in hi - lo)
+    box_mask = inside[tuple(slice(a, b) for a, b in zip(lo, hi))]
+    c = W.shape[0] // 2
+    crop = W[tuple(slice(c - n + 1, c + n) for n in box)]  # W[0] is 0
+    fft_shape = tuple(next_fast_len(2 * n - 1, real=True) for n in box)
+    weights_hat = np.fft.rfftn(crop[(slice(None, None, -1),) * grid.dim], s=fft_shape,
+                               axes=tuple(range(grid.dim)))
+    diagonal = scheme.diagonal() if rule.limit is not None else float(np.sum(W))
     data = _dirichlet_field(grid, rule, interior_flat, np.zeros((n_int, m)))
     load, est = _apply(data, kernel)
-    return AssembledOperator(grid, kernel, rule, A, load.reshape(-1, m)[interior_flat],
-                             interior_flat, grid.h**grid.dim, est)
+    return AssembledOperator(grid, kernel, rule, diagonal,
+                             load.reshape(-1, m)[interior_flat], interior_flat,
+                             grid.h**grid.dim, est, box,
+                             None if box_mask.all() else box_mask, weights_hat,
+                             fft_shape, float(np.sum(crop)))

@@ -165,9 +165,10 @@ def supersolution_family(grid: GridSpec, g, m: int = 2):
         h = M^2/2 + (1 - l) M - |u|^2/2 - rho . u,      l = M/2,
 
     with rho = 0.9 (1 - l) e_1.  Because the solve is exact at the discrete
-    level and the square identity is exact by construction, -L h = B(u, u)
-    >= 0 holds to rounding, and h >= 0.1 (1 - l) M keeps the Harnack ratio
-    finite.  Returns builder(s) -> (h_field, kernel).
+    level to the conjugate-gradient tolerance (relative residual 1e-13) and
+    the square identity is exact by construction, -L h = B(u, u) >= 0 holds
+    to that tolerance and rounding, and h >= 0.1 (1 - l) M keeps the Harnack
+    ratio finite.  Returns builder(s) -> (h_field, kernel).
     """
     def build(s):
         kernel = make_fractional_kernel(grid.dim, s)

@@ -1,0 +1,117 @@
+"""The matrix-free interior operator against its dense oracle.
+
+AssembledOperator.A gathers the dense matrix from the weights; matvec, the
+conjugate-gradient solve and the solve's error certificate are checked
+against it across dimensions, component counts, exterior rules (with and
+without a far limit) and kernels (fractional, diagonal-anisotropic and
+rotated anisotropic).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fracsys import (GridSpec, LinearProblem, callback_rule, constant_rule,
+                     make_anisotropic_kernel, make_fractional_kernel,
+                     solve_linear_dirichlet, zero_rule)
+from fracsys.operators import assemble_dirichlet
+
+GRIDS = {1: GridSpec(dim=1, h=1 / 32, radius=1.0), 2: GridSpec(dim=2, h=1 / 8, radius=1.0)}
+
+KERNELS = {
+    "1d-frac-0.3": lambda: make_fractional_kernel(1, 0.3),
+    "1d-frac-0.8": lambda: make_fractional_kernel(1, 0.8),
+    "2d-frac": lambda: make_fractional_kernel(2, 0.5),
+    "2d-diagonal": lambda: make_anisotropic_kernel([[1.5, 0.0], [0.0, 0.8]], 0.6),
+    "2d-rotated": lambda: make_anisotropic_kernel([[1.5, 0.3], [0.2, 0.8]], 0.7),
+}
+
+
+def rule_for(name, m):
+    if name == "zero":
+        return zero_rule()
+    if name == "constant":  # has a far limit
+        return constant_rule([0.7, -0.4][:m])
+    # a callback has none
+    return callback_rule(lambda p: np.stack([np.cos(p[:, 0] + 0.5 * p[:, -1]),
+                                             np.sin(2.0 * p[:, 0])][:m], axis=-1))
+
+
+CASES = [(k, r, m) for k in KERNELS for r in ("zero", "constant", "callback")
+         for m in (1, 2)]
+
+
+def operator(kernel_name, rule_name, m):
+    kernel = KERNELS[kernel_name]()
+    return assemble_dirichlet(kernel, GRIDS[kernel.dim], rule_for(rule_name, m), m=m)
+
+
+@pytest.mark.parametrize("kernel_name, rule_name, m", CASES)
+def test_matvec_matches_dense(kernel_name, rule_name, m):
+    op = operator(kernel_name, rule_name, m)
+    A = op.A
+    x = np.random.default_rng(5).normal(size=(A.shape[0], m))
+    ref = A @ x
+    assert np.max(np.abs(op.matvec(x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # a single column may come as a vector
+    assert np.max(np.abs(op.matvec(x[:, 0]) - ref[:, 0])) <= 1e-13 * np.max(np.abs(ref))
+    # the load and the residual form go through the same matvec
+    assert np.array_equal(op.apply_neg_lk(x), op.matvec(x) - op.load)
+
+
+@pytest.mark.parametrize("kernel_name, rule_name, m", CASES)
+def test_solve_matches_dense(kernel_name, rule_name, m):
+    op = operator(kernel_name, rule_name, m)
+    b = op.load + np.random.default_rng(6).normal(size=op.load.shape)
+    ref = np.linalg.solve(op.A, b)
+    x = op.solve(b)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert 0 < op.solve_iterations[-1] <= b.shape[0]
+
+
+@pytest.mark.parametrize("kernel_name", list(KERNELS))
+@pytest.mark.parametrize("rule_name", ["zero", "constant", "callback"])
+def test_error_bound_covers_true_error(kernel_name, rule_name):
+    kernel = KERNELS[kernel_name]()
+    grid, rule = GRIDS[kernel.dim], rule_for(rule_name, 1)
+
+    def rhs(p):
+        return 1.0 + 0.5 * np.sin(3.0 * p[:, 0])
+
+    v, rep = solve_linear_dirichlet(LinearProblem(kernel, grid, rhs, rule))
+    op = assemble_dirichlet(kernel, grid, rule, m=1)
+    pts = grid.points().reshape(-1, grid.dim)[op.interior_flat]
+    exact = np.linalg.solve(op.A, rhs(pts)[:, None] + op.load)
+    err = np.max(np.abs(np.asarray(v.values).reshape(-1, 1)[op.interior_flat] - exact))
+    assert np.isfinite(rep.error_bound)
+    assert err <= rep.error_bound
+    assert 0 < rep.iterations <= op.interior_flat.size
+
+
+@pytest.mark.parametrize("kernel_name", ["1d-frac-0.3", "2d-rotated"])
+def test_inverse_norm_bound_covers_dense_inverse(kernel_name):
+    # for the M-matrix A, ||A^-1||_inf = max(A^-1 1)
+    op = operator(kernel_name, "callback", 1)
+    exact = float(np.max(np.linalg.solve(op.A, np.ones(op.interior_flat.size))))
+    bound = op.inverse_norm_bound()
+    assert exact <= bound <= exact * (1.0 + 1e-10)
+
+
+def test_condition_estimate_bounds_dense_condition():
+    op = operator("2d-diagonal", "zero", 1)
+    assert np.linalg.cond(op.A) <= op.condition_estimate < np.inf
+
+
+def test_solve_linear_never_builds_the_matrix():
+    # 2-d h = 1/32: 3205 unknowns, so A alone would take 78.4 MiB
+    grid = GridSpec(dim=2, h=1 / 32, radius=1.0)
+    problem = LinearProblem(make_fractional_kernel(2, 0.5), grid, 1.0, zero_rule())
+    tracemalloc.start()
+    try:
+        _, rep = solve_linear_dirichlet(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert np.isfinite(rep.error_bound)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +249,47 @@ class TestCli:
         assert main(["solve-linear", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve-harmonic", "solve-gl"])
+    @pytest.mark.parametrize("extra, key", [
+        ({"exterior": "zero"}, "exterior"),
+        ({"bounds": {"a": 1.0, "a_star": 0.0, "M": 1.0}}, "bounds.a_star"),
+        ({"field_profile": "sign"}, "field_profile"),
+        ({"s_values": [0.5, 0.9]}, "s_values"),
+        ({"solver": {"rhs": 1.0}}, "solver.rhs"),
+        ({"solver": {"levels": 3}}, "solver.levels"),
+        ({"solver": {"wavenumber": 2}}, "solver.wavenumber"),
+    ], ids=["exterior", "bounds", "field_profile", "s_values", "rhs", "levels",
+            "wavenumber"])
+    def test_flows_refuse_keys_they_ignore(self, tmp_path, capsys, command, extra, key):
+        # the flows take their exterior data from solver.amplitude (the phase
+        # rule) and read no bounds, profile, orders or linear-solve keys
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, {
+            "command": command,
+            "kernel": {"s": 0.5},
+            "grid": {"dim": 1, "h": 1 / 16, "radius": 1.0},
+            "output_dir": str(out),
+            **extra,
+        })
+        assert main([command, "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_harmonic_flow_refuses_epsilon_and_gl_reads_it(self, tmp_path, capsys):
+        payload = {"kernel": {"s": 0.5}, "grid": {"dim": 1, "h": 1 / 16, "radius": 1.0},
+                   "solver": {"steps": 50, "tol": 1e-6, "amplitude": 0.5,
+                              "epsilon": 1e-2}}
+        cfg = self._write_cfg(tmp_path, {"command": "solve-harmonic", **payload,
+                                         "output_dir": str(tmp_path / "out")})
+        assert main(["solve-harmonic", "--config", cfg]) == 2
+        assert "solver.epsilon" in capsys.readouterr().err
+        assert ExperimentConfig.load(cfg, command_override="solve-gl").command == "solve-gl"
+
+    @pytest.mark.parametrize("name", ["solve-harmonic", "solve-gl"])
+    def test_frozen_flow_templates_load(self, name):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / f"{name}.json"
+        assert ExperimentConfig.load(path).command == name
 
     @pytest.mark.parametrize("command, payload", [
         ("probe-harnack", {"kernel": {"s": 0.5}, "solver": {"steps": 50, "amplitude": 0.6},
