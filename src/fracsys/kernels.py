@@ -141,9 +141,11 @@ class KernelSpec:
         if self.kind == "custom":
             return np.asarray(self.profile(r), dtype=float)
         A = self.A
-        Ainv = np.linalg.inv(A)
-        z = np.tensordot(y, Ainv.T, axes=([-1], [0])) if y.ndim > 0 else Ainv @ y
-        rz = np.sqrt(np.sum(z * z, axis=-1))
+        if self.dim == 1:
+            rz = r / abs(A[0, 0])
+        else:
+            z = np.tensordot(y, np.linalg.inv(A).T, axes=([-1], [0]))
+            rz = np.sqrt(np.sum(z * z, axis=-1))
         return self.c_ns / (abs(np.linalg.det(A)) * rz ** self.singularity_order)
 
     def is_power_law(self) -> bool:

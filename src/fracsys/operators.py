@@ -356,12 +356,14 @@ def spectral_apply(u: SampledField, s: float) -> SampledField:
 _CG_RTOL = 1e-13
 
 
-def _cg(matvec, b: np.ndarray, condition_estimate: float):
-    """Conjugate gradients for A x = b on all columns of b at once, from x = 0
-    (Hestenes & Stiefel 1952).  Stops when ||r_j||_2 <= 1e-13 ||b_j||_2 for
-    every column j; a column that gets there keeps its x while the others
-    go on.  Returns (x, iterations).  SolverError, carrying the iteration
-    count and condition_estimate, on breakdown (p.Ap <= 0: A is not positive
+def _cg(matvec, precondition, b: np.ndarray, condition_estimate: float):
+    """Preconditioned conjugate gradients for A x = b on all columns of b at
+    once, from x = 0 (Hestenes & Stiefel 1952; Concus, Golub & O'Leary 1976):
+    precondition is z = M^(-1) r for a symmetric positive definite M.  Stops
+    when the unpreconditioned residual has ||r_j||_2 <= 1e-13 ||b_j||_2 for
+    every column j; a column that gets there keeps its x while the others go
+    on.  Returns (x, iterations).  SolverError, carrying the iteration count
+    and condition_estimate, on breakdown (p.Ap <= 0: A is not positive
     definite) or when n (the number of unknowns) iterations do not reach the
     tolerance."""
     if not np.all(np.isfinite(b)):
@@ -369,8 +371,9 @@ def _cg(matvec, b: np.ndarray, condition_estimate: float):
                           condition_estimate=condition_estimate)
     r = b.reshape(b.shape[0], -1).copy()
     x = np.zeros_like(r)
-    p = r.copy()
+    p = z = precondition(r)
     rr = np.sum(r * r, axis=0)
+    rz = np.sum(r * z, axis=0)
     goal = _CG_RTOL**2 * rr
     k = 0
     while True:
@@ -385,12 +388,14 @@ def _cg(matvec, b: np.ndarray, condition_estimate: float):
         if np.any(pAp[active] <= 0.0):
             raise SolverError("interior system is not positive definite",
                               iterations=k, condition_estimate=condition_estimate)
-        alpha = np.divide(rr, pAp, out=np.zeros_like(rr), where=active)
+        alpha = np.divide(rz, pAp, out=np.zeros_like(rz), where=active)
         x += alpha * p
         r -= alpha * Ap
-        rr_next = np.sum(r * r, axis=0)
-        p = r + np.divide(rr_next, rr, out=np.zeros_like(rr), where=active) * p
-        rr = rr_next
+        z = precondition(r)
+        rr = np.sum(r * r, axis=0)
+        rz_next = np.sum(r * z, axis=0)
+        p = z + np.divide(rz_next, rz, out=np.zeros_like(rz), where=active) * p
+        rz = rz_next
         k += 1
 
 
@@ -403,20 +408,28 @@ class AssembledOperator:
 
     A is symmetric positive definite (M-matrix: positive diagonal, negative
     off-diagonal, strictly dominant through the weights that reach beyond
-    the ball).  It is never stored: matvec correlates the interior values,
-    placed in their bounding box (box, with box_mask marking the interior
-    in it, or None where the interior fills it, as in 1-d), with the
-    weights cropped to offsets inside the box (weights_hat: the real FFT of
-    the reversed crop at size fft_shape; the weights hold 0 at the zero
-    offset).  offdiag_sum, the sum of those cropped weights, bounds every row's off-diagonal sum and so gives
-    the Gershgorin condition_estimate.
+    the ball).  It is never stored.  The interior values are placed in their
+    bounding box (box, with box_mask marking the interior in it, or None
+    where the interior fills it, as in 1-d), zero-padded to fft_shape, and
+    multiplied by a circulant there: symbol is the real FFT of the weights
+    cropped to offsets inside the box, wrapped onto fft_shape with the zero
+    offset at index 0 (the weights are even and hold 0 at the zero offset,
+    so the transform is real).  matvec is diagonal * x minus the circulant
+    circ(symbol); as fft_shape is at least 2 box - 1, nothing wraps onto the
+    box.  precondition applies circ(1 / (diagonal - symbol)), the inverse of
+    the whole-torus operator C = diagonal - circ(symbol) (T. Chan 1988;
+    Minden & Ying 2020), restricted to the interior: R C^(-1) R^T is
+    symmetric positive definite because diagonal - symbol >= diagonal -
+    offdiag_sum > 0.  offdiag_sum, the sum of the cropped weights, bounds
+    every row's off-diagonal sum and so gives the Gershgorin
+    condition_estimate.
 
     interior_flat indexes the interior nodes in the flattened grid; rule is
     the exterior data folded into load; hvol is the node volume, used by the
     quadratic energy form.  Every interior solve goes through solve
-    (conjugate gradients; solve_iterations logs each one's iteration count),
-    and field turns interior values into a full field.  The dense matrix A
-    is gathered only on request, as the test oracle."""
+    (preconditioned conjugate gradients; solve_iterations logs each one's
+    iteration count), and field turns interior values into a full field.
+    The dense matrix A is gathered only on request, as the test oracle."""
 
     grid: GridSpec
     kernel: KernelSpec
@@ -428,7 +441,7 @@ class AssembledOperator:
     truncation_estimate: float
     box: tuple
     box_mask: Optional[np.ndarray]
-    weights_hat: np.ndarray
+    symbol: np.ndarray
     fft_shape: tuple
     offdiag_sum: float
     solve_iterations: list = dataclasses.field(default_factory=list, init=False,
@@ -456,9 +469,11 @@ class AssembledOperator:
         d, o = abs(self.diagonal), self.offdiag_sum
         return (d + o) / (d - o) if d > o else float("inf")
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for x of shape (n_interior,) or (n_interior, m), every column
-        in one real-FFT transform pair."""
+    def _circulant(self, x: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+        """The circulant with the given real Fourier multiplier on fft_shape,
+        applied to x (n_interior,) or (n_interior, m) placed in the box and
+        restricted back to the interior; every column in one real-FFT
+        transform pair."""
         X = x.reshape(x.shape[0], -1).T
         axes = tuple(range(1, len(self.box) + 1))
         if self.box_mask is None:
@@ -466,31 +481,42 @@ class AssembledOperator:
         else:
             f = np.zeros((X.shape[0], *self.box))
             f[:, self.box_mask] = X
-        g = np.fft.irfftn(np.fft.rfftn(f, s=self.fft_shape, axes=axes) * self.weights_hat,
+        g = np.fft.irfftn(np.fft.rfftn(f, s=self.fft_shape, axes=axes) * multiplier,
                           s=self.fft_shape, axes=axes)
-        g = g[(slice(None),) + tuple(slice(n - 1, 2 * n - 1) for n in self.box)]
+        g = g[(slice(None),) + tuple(slice(0, n) for n in self.box)]
         if self.box_mask is not None:
             g = g[:, self.box_mask]
-        return (self.diagonal * X - g).T.reshape(x.shape)
+        return g.T.reshape(x.shape)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for x of shape (n_interior,) or (n_interior, m)."""
+        return self.diagonal * x - self._circulant(x, self.symbol)
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """R C^(-1) R^T r: the inverse of the whole-torus circulant
+        diagonal - circ(symbol), through the same embedding and restriction
+        as matvec; symmetric positive definite."""
+        return self._circulant(r, 1.0 / (self.diagonal - self.symbol))
 
     def apply_neg_lk(self, u_int: np.ndarray) -> np.ndarray:
         return self.matvec(u_int) - self.load
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^(-1) b by conjugate gradients on all columns of b at once (see
-        _cg); SolverError when A is not positive definite or CG stalls."""
-        x, k = _cg(self.matvec, b, self.condition_estimate)
+        """A^(-1) b by preconditioned conjugate gradients on all columns of b
+        at once (see _cg); SolverError when A is not positive definite or CG
+        stalls."""
+        x, k = _cg(self.matvec, self.precondition, b, self.condition_estimate)
         self.solve_iterations.append(k)
         return x
 
     def inverse_norm_bound(self) -> float:
         """Upper bound on ||A^(-1)||_inf.  A is an M-matrix, so A^(-1) >= 0 and
-        ||A^(-1)||_inf = max(A^(-1) 1).  With v from a CG solve of A v = 1
+        ||A^(-1)||_inf = max(A^(-1) 1).  With v from a PCG solve of A v = 1
         and rho = ||1 - A v||_inf, A^(-1) 1 = v + A^(-1)(1 - A v) gives
         ||A^(-1)||_inf <= max(v) / (1 - rho); inf when rho >= 1.  Calls
         matvec directly, never solve."""
         ones = np.ones(self.interior_flat.size)
-        v, _ = _cg(self.matvec, ones, self.condition_estimate)
+        v, _ = _cg(self.matvec, self.precondition, ones, self.condition_estimate)
         rho = float(np.max(np.abs(ones - self.matvec(v))))
         return float(np.max(v)) / (1.0 - rho) if rho < 1.0 else float("inf")
 
@@ -531,10 +557,12 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
     supplying all data outside, matrix-free.  Stores the diagonal (the
     scheme's, tail mass included, when the rule has a far limit; the sum of
     the weights otherwise), the interior's bounding box with its mask, and
-    one real FFT of the weights cropped to the box.  The load is L_K of the
+    the real symbol of the weights cropped to the box, which drives both
+    the matvec and the circulant preconditioner.  The load is L_K of the
     exterior data alone (zero on the interior nodes), through the same
     padded table, tail and truncation estimate as every other evaluation.
-    DomainError past _DENSE_CAP unknowns."""
+    DomainError past _DENSE_CAP unknowns; SolverError when the
+    preconditioner's symbol diagonal - symbol is not positive."""
     if grid.periodic:
         raise DomainError("Dirichlet assembly needs a free-space grid")
     scheme = scheme_for(kernel, grid)
@@ -546,7 +574,7 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
         raise DomainError(f"interior operator capped at {_DENSE_CAP} unknowns")
     # the interior's bounding box, and the weights at offsets |k_i| <= L_i - 1:
     # every pair of interior nodes is that close, and a transform of size
-    # 2 L_i - 1 keeps the box's correlation free of wrap-around
+    # 2 L_i - 1 keeps the circulant product on the box free of wrap-around
     nodes = np.argwhere(inside)
     lo, hi = nodes.min(axis=0), nodes.max(axis=0) + 1
     box = tuple(int(n) for n in hi - lo)
@@ -554,13 +582,19 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
     c = W.shape[0] // 2
     crop = W[tuple(slice(c - n + 1, c + n) for n in box)]  # W[0] is 0
     fft_shape = tuple(next_fast_len(2 * n - 1, real=True) for n in box)
-    weights_hat = np.fft.rfftn(crop[(slice(None, None, -1),) * grid.dim], s=fft_shape,
-                               axes=tuple(range(grid.dim)))
+    # the crop zero-padded to fft_shape and rolled so the zero offset sits at
+    # index 0 and offset k at k mod fft_shape: even, so its transform is real
+    wrapped = np.roll(np.pad(crop, [(0, f - (2 * n - 1)) for f, n in zip(fft_shape, box)]),
+                      [1 - n for n in box], axis=tuple(range(grid.dim)))
+    symbol = np.fft.rfftn(wrapped).real.copy()  # not a view holding the complex array
     diagonal = scheme.diagonal() if rule.limit is not None else float(np.sum(W))
+    if float(np.min(diagonal - symbol)) <= 0.0:  # some weight is negative
+        raise SolverError("the circulant preconditioner is not positive definite",
+                          condition_estimate=float("inf"))
     data = _dirichlet_field(grid, rule, interior_flat, np.zeros((n_int, m)))
     load, est = _apply(data, kernel)
     return AssembledOperator(grid, kernel, rule, diagonal,
                              load.reshape(-1, m)[interior_flat], interior_flat,
                              grid.h**grid.dim, est, box,
-                             None if box_mask.all() else box_mask, weights_hat,
+                             None if box_mask.all() else box_mask, symbol,
                              fft_shape, float(np.sum(crop)))

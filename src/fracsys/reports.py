@@ -89,18 +89,23 @@ def canonical_json(obj) -> str:
     return render(tree) + "\n"
 
 
+def _csv_cell(v) -> str:
+    return format(float(v), ".17g") if isinstance(v, (float, np.floating)) else str(v)
+
+
 def write_csv(path, header, rows):
-    """CSV with canonical float formatting."""
+    """CSV with canonical float formatting: floats with 17 significant
+    digits, anything else as str().  A float array is rendered a row at a
+    time by one format string, with the same bytes, converted to Python
+    floats a block of rows at a time so the transient stays small."""
     path = Path(path)
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(format(float(v), ".17g"))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        fmt = ",".join(["%.17g"] * rows.shape[1])
+        for start in range(0, rows.shape[0], 256):
+            lines += [fmt % tuple(row) for row in rows[start : start + 256].tolist()]
+    else:
+        lines += [",".join(map(_csv_cell, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     return path
 

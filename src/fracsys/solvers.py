@@ -6,8 +6,10 @@ Conventions
 The linear problem is posed as  -L_K v = rhs  in the grid ball, v given by the
 exterior rule outside.  The interior operator is a symmetric M-matrix, so the
 discrete maximum principle holds exactly: nonpositive data forces a
-nonpositive solution.  It is solved matrix-free by conjugate gradients, and
-the M-matrix structure turns the final residual into a bound on the error.
+nonpositive solution.  It is solved matrix-free by conjugate gradients
+preconditioned with the inverse of the same operator on a periodic box (a
+circulant, applied by FFT), and the M-matrix structure turns the final
+residual into a bound on the error.
 
 The constrained flow iterates  u <- project(u - step * (-Delta)^s u)  with
 nodewise radial projection to the unit sphere, starting from the radial
@@ -102,10 +104,11 @@ class GLConfig:
 
 
 def solve_linear_dirichlet(problem: LinearProblem):
-    """Conjugate-gradient solve of the interior system A x = b; returns
-    (field, report).  The report's iterations is the CG count and its
-    error_bound the certificate ||x - x*||_inf <= ||A^(-1)||_inf ||b - A x||_inf,
-    with ||A^(-1)||_inf bounded by AssembledOperator.inverse_norm_bound."""
+    """Preconditioned conjugate-gradient solve of the interior system
+    A x = b; returns (field, report).  The report's iterations is the PCG
+    count and its error_bound the certificate
+    ||x - x*||_inf <= ||A^(-1)||_inf ||b - A x||_inf, with ||A^(-1)||_inf
+    bounded by AssembledOperator.inverse_norm_bound."""
     op = assemble_dirichlet(problem.kernel, problem.grid, problem.exterior, m=1)
     pts = problem.grid.points().reshape(-1, problem.grid.dim)
     rhs = problem.rhs_values(pts[op.interior_flat])

@@ -1,10 +1,12 @@
 """The matrix-free interior operator against its dense oracle.
 
 AssembledOperator.A gathers the dense matrix from the weights; matvec, the
-conjugate-gradient solve and the solve's error certificate are checked
-against it across dimensions, component counts, exterior rules (with and
-without a far limit) and kernels (fractional, diagonal-anisotropic and
-rotated anisotropic).
+preconditioned conjugate-gradient solve and the solve's error certificate
+are checked against it across dimensions, component counts, exterior rules
+(with and without a far limit) and kernels (fractional,
+diagonal-anisotropic and rotated anisotropic).  The circulant
+preconditioner is checked against the dense inverse of the whole-torus
+operator it restricts, and by the iteration counts it buys.
 """
 
 import tracemalloc
@@ -12,10 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracsys import (GridSpec, LinearProblem, callback_rule, constant_rule,
-                     make_anisotropic_kernel, make_fractional_kernel,
-                     solve_linear_dirichlet, zero_rule)
+from fracsys import (GridSpec, LinearProblem, SolverError, callback_rule,
+                     constant_rule, make_anisotropic_kernel, make_custom_kernel,
+                     make_fractional_kernel, solve_linear_dirichlet, zero_rule)
 from fracsys.operators import assemble_dirichlet
+from fracsys.quadrature import scheme_for
 
 GRIDS = {1: GridSpec(dim=1, h=1 / 32, radius=1.0), 2: GridSpec(dim=2, h=1 / 8, radius=1.0)}
 
@@ -115,3 +118,83 @@ def test_solve_linear_never_builds_the_matrix():
         tracemalloc.stop()
     assert peak < 20 * 2**20
     assert np.isfinite(rep.error_bound)
+
+
+# -- the circulant preconditioner -----------------------------------------------
+
+
+@pytest.mark.parametrize("kernel_name, rule_name, m", CASES)
+def test_preconditioner_symbol_is_positive(kernel_name, rule_name, m):
+    op = operator(kernel_name, rule_name, m)
+    assert np.isrealobj(op.symbol) and op.symbol.base is None  # no complex array kept
+    assert np.min(op.diagonal - op.symbol) > 0.0
+    # every weight is >= 0, so the symbol peaks at the zero frequency
+    assert np.max(op.symbol) <= op.offdiag_sum * (1.0 + 1e-14)
+
+
+def test_negative_weights_are_refused():
+    # diagonal - symbol <= 0: the preconditioner would not be positive definite
+    kernel = make_custom_kernel(lambda r: -np.abs(r) ** -1.6, 0.3, 1, 1.0, 1.0)
+    with pytest.raises(SolverError) as info:
+        assemble_dirichlet(kernel, GRIDS[1], zero_rule())
+    assert info.value.diagnostics["condition_estimate"] == np.inf
+
+
+def torus_operator(op):
+    """The dense diagonal - circ(W cropped to |k_i| <= L_i - 1) on the torus
+    of shape fft_shape, and the torus indices of the interior nodes."""
+    W = scheme_for(op.kernel, op.grid).weights
+    c = W.shape[0] // 2
+    N, L = np.array(op.fft_shape), np.array(op.box)
+    nodes = np.indices(op.fft_shape).reshape(len(N), -1)
+    diff = nodes[:, :, None] - nodes[:, None, :]
+    # the one representative of each residue mod N that the crop can hold
+    off = (diff + (L - 1)[:, None, None]) % N[:, None, None] - (L - 1)[:, None, None]
+    inside = np.all(off <= (L - 1)[:, None, None], axis=0)
+    C = -np.where(inside, W[tuple(c + np.minimum(off, L[:, None, None] - 1))], 0.0)
+    C[np.diag_indices_from(C)] += op.diagonal
+    in_box = np.all(nodes < L[:, None], axis=0)
+    box_nodes = np.flatnonzero(in_box)
+    if op.box_mask is not None:
+        box_nodes = box_nodes[op.box_mask.ravel()]
+    return C, box_nodes
+
+
+@pytest.mark.parametrize("kernel_name, rule_name", [
+    ("1d-frac-0.3", "callback"), ("2d-frac", "zero"), ("2d-rotated", "constant")])
+def test_preconditioner_is_restricted_torus_inverse(kernel_name, rule_name):
+    op = operator(kernel_name, rule_name, 1)
+    C, sel = torus_operator(op)
+    # the torus operator agrees with A on the interior nodes: nothing wraps
+    assert np.max(np.abs(C[np.ix_(sel, sel)] - op.A)) <= 1e-13 * op.diagonal
+    n = op.interior_flat.size
+    P = op.precondition(np.eye(n))
+    ref = np.linalg.inv(C)[np.ix_(sel, sel)]
+    assert np.max(np.abs(P - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(P - P.T)) <= 1e-13 * np.max(np.abs(P))
+    assert np.min(np.linalg.eigvalsh(0.5 * (P + P.T))) > 0.0
+
+
+@pytest.fixture(scope="module")
+def pcg_iterations():
+    """Iteration counts of solve_linear_dirichlet, 2-d, zero rule, rhs 1."""
+    counts = {}
+    for h in (1 / 16, 1 / 32):
+        for s in (0.5, 0.9):
+            problem = LinearProblem(make_fractional_kernel(2, s),
+                                    GridSpec(dim=2, h=h, radius=1.0), 1.0, zero_rule())
+            _, rep = solve_linear_dirichlet(problem)
+            counts[h, s] = rep.iterations
+    return counts
+
+
+@pytest.mark.parametrize("s", [0.5, 0.9])
+def test_preconditioned_iterations_at_h_1_32(pcg_iterations, s):
+    # unpreconditioned CG takes 104 (s = 0.5) and 126 (s = 0.9) here
+    assert pcg_iterations[1 / 32, s] <= 30
+
+
+@pytest.mark.parametrize("s", [0.5, 0.9])
+def test_iterations_grow_slowly_under_refinement(pcg_iterations, s):
+    # unpreconditioned CG doubles (53 -> 104 at s = 0.5)
+    assert pcg_iterations[1 / 32, s] <= 1.6 * pcg_iterations[1 / 16, s]

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from fracsys import (DomainError, GridSpec, field_from_function,
-                     kernel_bounds_check, make_anisotropic_kernel,
-                     make_custom_kernel, make_fractional_kernel,
-                     normalization_constant, normalization_limit,
-                     periodic_rule, spectral_apply,
-                     apply_fractional_laplacian_field)
+from fracsys import (DomainError, GridSpec, apply_LK_field, callback_rule,
+                     constant_rule, field_from_function, kernel_bounds_check,
+                     make_anisotropic_kernel, make_custom_kernel,
+                     make_fractional_kernel, normalization_constant,
+                     normalization_limit, periodic_rule, spectral_apply,
+                     apply_fractional_laplacian_field, zero_rule)
 
 
 class TestNormalization:
@@ -107,6 +107,31 @@ class TestAnisotropicKernel:
     def test_singular_matrix_rejected(self):
         with pytest.raises(DomainError):
             make_anisotropic_kernel(np.array([[1.0, 2.0], [2.0, 4.0]]), 0.5)
+
+    @pytest.mark.parametrize("a", [1.7, -0.6])
+    def test_one_dimensional_matrix_scales_the_fractional_kernel(self, a):
+        # K(y) = c / (|a| |y/a|^(1+2s)) = |a|^(2s) times the fractional kernel
+        s = 0.6
+        ka = make_anisotropic_kernel([[a]], s)
+        kf = make_fractional_kernel(1, s)
+        y = np.array([-2.5, -0.1, 0.3, 1.0, 4.0])
+        assert np.allclose(ka(y), abs(a) ** (2 * s) * kf(y), rtol=1e-13, atol=0.0)
+        assert np.array_equal(ka(y), ka(-y))
+        assert ka(0.5) == pytest.approx(abs(a) ** (2 * s) * kf(0.5), rel=1e-13)
+
+    @pytest.mark.parametrize("rule", [zero_rule(), constant_rule([0.4]),
+                                      callback_rule(lambda p: np.cos(2.0 * p))],
+                             ids=["zero", "constant", "callback"])
+    @pytest.mark.parametrize("s", [0.3, 0.8])
+    def test_one_dimensional_anisotropic_apply(self, rule, s):
+        a = 1.7
+        grid = GridSpec(dim=1, h=1 / 64, radius=1.0)
+        u = field_from_function(grid, lambda p: np.exp(-p[:, :1] ** 2), rule, m=1)
+        va, ea = apply_LK_field(u, make_anisotropic_kernel([[a]], s))
+        vf, ef = apply_LK_field(u, make_fractional_kernel(1, s))
+        scale = abs(a) ** (2 * s)
+        assert np.max(np.abs(va - scale * vf)) <= 1e-12 * np.max(np.abs(scale * vf))
+        assert ea == pytest.approx(scale * ef, rel=1e-12)
 
 
 class TestBoundsCheck:

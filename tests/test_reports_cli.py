@@ -10,6 +10,7 @@ from fracsys import (DomainError, GridSpec, GrowthBounds, LinearProblem, SolverE
                      read_field_fsf1, s_limit_isotropic, sign_rule, solve_linear_dirichlet,
                      write_field_csv, write_field_fsf1, zero_rule)
 from fracsys.cli import ExperimentConfig, main
+from fracsys.reports import write_csv
 from fracsys.solvers import SolveReport
 
 
@@ -47,6 +48,44 @@ class TestCanonicalJson:
         lines = (tmp_path / "h.csv").read_text().splitlines()
         assert lines[0] == "s,ratio"
         assert len(lines) == 3
+
+
+def per_cell_csv(header, rows):
+    """The reference rule: one format() call per float cell, str() for the
+    rest."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".17g")
+                              if isinstance(v, (float, np.floating)) else str(v)
+                              for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+ODD_FLOATS = [0.1, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e-310,
+              -5e-324, 1.7976931348623157e308, 2.2250738585072014e-308, 123456789.0,
+              1.0 / 3.0, -2.5e-17]
+
+
+class TestWriteCsv:
+    def test_float_array_bytes_match_per_cell_rule(self, tmp_path):
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(600, 3)) * 10.0 ** rng.integers(-300, 300, size=(600, 3))
+        odd = ODD_FLOATS + ODD_FLOATS[:2]
+        rows[: len(odd) // 3] = np.reshape(odd, (-1, 3))
+        path = write_csv(tmp_path / "a.csv", ["x0", "x1", "u0"], rows)
+        assert path.read_bytes() == per_cell_csv(["x0", "x1", "u0"], rows)
+
+    def test_mixed_rows_bytes_match_per_cell_rule(self, tmp_path):
+        rows = [(k, v, np.float64(-v), np.int64(k), np.float32(0.1), True)
+                for k, v in enumerate(ODD_FLOATS)]
+        header = ["k", "a", "b", "c", "d", "e"]
+        path = write_csv(tmp_path / "b.csv", header, rows)
+        assert path.read_bytes() == per_cell_csv(header, rows)
+
+    def test_integer_array_is_written_with_str(self, tmp_path):
+        rows = np.arange(6).reshape(3, 2)
+        path = write_csv(tmp_path / "c.csv", ["i", "j"], rows)
+        assert path.read_bytes() == per_cell_csv(["i", "j"], rows) == b"i,j\n0,1\n2,3\n4,5\n"
 
 
 class TestFieldFiles:
@@ -452,6 +491,24 @@ class TestCliMore:
         grid = GridSpec(dim=2, h=1 / 8, radius=1.0)
         direct, _ = solve_linear_dirichlet(LinearProblem(
             make_anisotropic_kernel(np.asarray(matrix), 0.6), grid, 1.0, zero_rule()))
+        written = read_field_fsf1(out / "field.fsf1")
+        assert np.array_equal(np.asarray(written.values), np.asarray(direct.values))
+        assert json.loads((out / "report.json").read_text())["final_residual"] <= 1e-8
+
+    def test_solve_linear_one_dimensional_anisotropic_kernel(self, tmp_path):
+        # a 1 x 1 matrix a scales the fractional kernel by |a|^(2s)
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path, {
+            "command": "solve-linear",
+            "kernel": {"kind": "anisotropic", "s": 0.5, "matrix": [[1.7]]},
+            "grid": {"dim": 1, "h": 1 / 64, "radius": 1.0},
+            "solver": {"rhs": 1.0},
+            "output_dir": str(out),
+        })
+        assert main(["solve-linear", "--config", cfg]) == 0
+        grid = GridSpec(dim=1, h=1 / 64, radius=1.0)
+        direct, _ = solve_linear_dirichlet(LinearProblem(
+            make_anisotropic_kernel([[1.7]], 0.5), grid, 1.0, zero_rule()))
         written = read_field_fsf1(out / "field.fsf1")
         assert np.array_equal(np.asarray(written.values), np.asarray(direct.values))
         assert json.loads((out / "report.json").read_text())["final_residual"] <= 1e-8
