@@ -154,7 +154,7 @@ class QuadratureScheme:
 
     def diagonal(self) -> float:
         """Sum of all node weights plus the tail mass along each direction:
-        the operator's diagonal, the stability constant of explicit flows."""
+        the operator's diagonal."""
         return float(np.sum(self.weights)) + len(self.tail_directions) * self.tail_mass
 
     def innermost_moment_ratio(self) -> float:

@@ -11,12 +11,16 @@ preconditioned with the inverse of the same operator on a periodic box (a
 circulant, applied by FFT), and the M-matrix structure turns the final
 residual into a bound on the error.
 
-The constrained flow iterates  u <- project(u - step * (-Delta)^s u)  with
-nodewise radial projection to the unit sphere, starting from the radial
-projection of the componentwise linear extension of the exterior data.  The
-relaxed flow replaces the projection by the penalty reaction
-(1/eps) (1 - |v|^2) v, integrated implicitly so the step stays
-diffusion-limited.
+Both sphere-valued flows start from the radial projection of the
+componentwise linear extension of the exterior data and take linearly
+implicit steps: each solves  (I + tau H) d = -tau G  for the energy's
+gradient G and a positive semidefinite H, by conjugate gradients
+preconditioned with the same circulant shifted to 1 + tau (diagonal -
+symbol).  The constrained flow works on the tangent space of the sphere and
+projects u + d back to it nodewise (the tangent-plane scheme); the relaxed
+flow adds d and carries the penalty (1/(4 eps)) (1 - |v|^2)^2 in its energy
+and in H.  A guard rejects a step whose energy rises and halves tau, so
+both energy traces are monotone.
 
 Solvers are single-threaded state machines over immutable field snapshots;
 each iteration produces a new snapshot and the report is written once.
@@ -32,7 +36,7 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .fields import ExteriorRule, GridSpec, SampledField, zero_rule
 from .kernels import KernelSpec, make_fractional_kernel
-from .operators import (AssembledOperator, apply_fractional_laplacian_field,
+from .operators import (AssembledOperator, _cg, apply_fractional_laplacian_field,
                         assemble_dirichlet, bilinear_form_field, s_energy)
 
 __all__ = [
@@ -88,8 +92,9 @@ class SolveReport:
 @dataclass(frozen=True)
 class GLConfig:
     """Relaxation parameters: penalty strength epsilon, order s, the step
-    budget and the residual tolerance.  The pseudo-time step is always the
-    diffusion-limited default_flow_step."""
+    budget and the residual tolerance.  The pseudo-time step starts at
+    default_flow_step; the flow halves it when a step would raise the
+    energy."""
 
     epsilon: float
     s: float
@@ -125,15 +130,14 @@ def solve_linear_dirichlet(problem: LinearProblem):
     return op.field(sol), report
 
 
-def default_flow_step(kernel: KernelSpec, grid: GridSpec,
-                      op: AssembledOperator) -> float:
-    """Explicit step: half of h^(2s)/Lam, capped at 0.9/diag.
+def default_flow_step(kernel: KernelSpec, grid: GridSpec) -> float:
+    """Pseudo-time step 10^3 R^(2s)/Lam of the linearly implicit flows.
 
-    The linear part is stable up to 2/diag, but the nodewise projection can
-    push energy upward near that edge; 0.9/diag keeps the flow dissipative
-    with margin across the whole order range."""
-    diag = op.diagonal
-    return min(0.5 * grid.h ** (2.0 * kernel.s) / kernel.Lam, 0.9 / diag)
+    Lam R^(-2s) is the scale of the operator's lowest modes on the ball of
+    radius R, so tau times every eigenvalue is about 10^3 or more and each
+    step is close to a Newton step on the tangent space.  The step is stable
+    for every tau; the scale only sets how few steps a flow takes."""
+    return 1e3 * grid.radius ** (2.0 * kernel.s) / kernel.Lam
 
 
 def _check_unit_exterior(rule: ExteriorRule, grid: GridSpec, m: int):
@@ -155,26 +159,56 @@ def _project_sphere(w: np.ndarray) -> np.ndarray:
     return w / norms
 
 
+def _tangent(u: np.ndarray):
+    """The nodewise projection P x = x - u (u . x) onto the tangent space of a
+    unit field u (n, m)."""
+    return lambda x: x - u * np.sum(u * x, axis=-1, keepdims=True)
+
+
+def _implicit_solve(op: AssembledOperator, matvec, precondition,
+                    rhs: np.ndarray) -> np.ndarray:
+    """d with (I + tau H) d = rhs, by preconditioned CG on the flattened
+    n * m vector: the operators couple the components at a node, so the
+    columns are not solved one by one."""
+    shape = rhs.shape
+
+    def flat(f):
+        return lambda x: f(x.reshape(shape)).reshape(x.shape)
+
+    d, _ = _cg(flat(matvec), flat(precondition), rhs.ravel(), op.condition_estimate)
+    return d.reshape(shape)
+
+
+# trial steps rejected in a row, each at half the step of the one before,
+# before a flow gives up
+_MAX_REJECTIONS = 30
+
+
 def _sphere_flow(grid: GridSpec, g: ExteriorRule, s: float, m: int,
                  tau: Optional[float], steps: int, tol: float,
-                 residual, advance, penalty, bound):
-    """The explicit flow u <- advance(u - tau (-Delta)^s u, tau) from the
-    radial projection of the linear extension of the unit data g.
+                 gradient, advance, penalty, bound):
+    """The linearly implicit flow from the radial projection of the linear
+    extension of the unit data g: u <- advance(op, u, G, tau), which solves
+    (I + tau H) d = -tau G for the gradient G = gradient(u, F) and a
+    positive semidefinite H, then updates u with d.
 
-    Each step makes one matvec F = A u - load.  It gives the stopping
-    residual residual(u, F) and the energy of u, because
+    F = A u - load of the current iterate gives G, the stopping residual
+    max_i |G_i| and the energy of u, because
     (1/2) u.Au - u.load = (1/2) u.(F - load); penalty(u) is added to it.
-    Stops when the residual falls below tol relative to its first value (or
-    to the rounding scale of the operator) or after `steps` steps; aborts if
-    the energy rises on three consecutive steps.  Returns (field, report).
+    A trial whose energy rises by more than the rounding slack is rejected
+    and tau halved; _MAX_REJECTIONS in a row raise SolverError.  An accepted
+    trial's F is the next step's, so a step costs one apply_neg_lk.  Stops
+    when the residual falls below tol relative to its first value (or to
+    the rounding scale of the operator) or after `steps` accepted steps.
+    Returns (field, report).
     """
     kernel = make_fractional_kernel(grid.dim, s)
+    if tau is None:
+        tau = default_flow_step(kernel, grid)
+    elif not (np.isfinite(tau) and tau > 0.0):
+        raise DomainError(f"step size must be positive and finite, got {tau}")
     _check_unit_exterior(g, grid, m)
     op = assemble_dirichlet(kernel, grid, g, m=m)
-    diag = op.diagonal
-    tau = default_flow_step(kernel, grid, op) if tau is None else tau
-    if tau * diag >= 2.0:
-        raise DomainError("step size exceeds the explicit stability bound")
     extension = op.solve(op.load)
     try:
         u = _project_sphere(extension)
@@ -185,32 +219,41 @@ def _sphere_flow(grid: GridSpec, g: ExteriorRule, s: float, m: int,
             f"the linear extension of the exterior data vanishes at interior "
             f"node {node}, so the flow has no start on the sphere there",
             node_index=node) from exc
+
+    def quadratic(u, F):
+        return 0.5 * op.hvol * float(np.sum(u * (F - op.load)))
+
+    F = op.apply_neg_lk(u)
     # calibrate the additive constant once so the trace reports true energies
-    e0 = s_energy(op.field(u), s).total
-    floor = 1e-13 * diag  # rounding scale of the operator
-    trace, resid0, resid, rising, k = [], None, np.inf, 0, 0
-    while True:
-        F = op.apply_neg_lk(u)
-        quadratic = 0.5 * op.hvol * float(np.sum(u * (F - op.load)))
-        if not trace:
-            offset = e0 - quadratic
-        trace.append(quadratic + offset + penalty(u))
-        if len(trace) > 1 and trace[-1] > trace[-2] + 1e-12 * (abs(trace[0]) + 1.0):
-            rising += 1
-            if rising >= 3:
-                raise SolverError("energy increased on three consecutive steps",
-                                  step=tau, trace_tail=tuple(trace[-4:]))
-        else:
-            rising = 0
-        if k == steps:
-            break
+    offset = s_energy(op.field(u), s).total - quadratic(u, F)
+    trace = [quadratic(u, F) + offset + penalty(u)]
+    slack0 = 1e-12 * (abs(trace[0]) + 1.0)
+    # the energy's rounding is about eps * diagonal * hvol * sum |u|^2
+    rounding = np.finfo(float).eps * op.diagonal * op.hvol
+    floor = 1e-13 * op.diagonal  # rounding scale of the operator
+    G = gradient(u, F)
+    resid = float(np.max(np.linalg.norm(G, axis=-1)))
+    resid0 = max(resid, 1e-300)
+    k = 0
+    while k < steps and resid > tol * resid0 and resid > floor:
+        slack = slack0 + rounding * float(np.sum(u * u))
+        rejected = 0
+        while True:
+            trial = advance(op, u, G, tau)
+            F_trial = op.apply_neg_lk(trial)
+            energy = quadratic(trial, F_trial) + offset + penalty(trial)
+            if energy <= trace[-1] + slack:
+                break
+            rejected += 1
+            if rejected == _MAX_REJECTIONS:
+                raise SolverError(f"energy rose on {rejected} trial steps in a row",
+                                  step=tau, trace_tail=(*trace[-3:], energy))
+            tau *= 0.5
+        u, F = trial, F_trial
+        trace.append(energy)
+        G = gradient(u, F)
+        resid = float(np.max(np.linalg.norm(G, axis=-1)))
         k += 1
-        resid = residual(u, F)
-        if resid0 is None:
-            resid0 = max(resid, 1e-300)
-        if resid <= tol * resid0 or resid <= floor:
-            break
-        u = advance(u - tau * F, tau)
     violation = float(np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)))
     report = SolveReport(iterations=k, final_residual=resid,
                          energy_trace=tuple(trace),
@@ -224,27 +267,47 @@ def gradient_flow_s_harmonic(grid: GridSpec, g: ExteriorRule, s: float,
                              step_size: Optional[float] = None,
                              tol: float = 1e-6):
     """Projected gradient flow for sphere-valued critical points of the
-    order-s energy with unit exterior data g.
+    order-s energy with unit exterior data g, by the tangent-plane scheme
+    (Alouges 1997; Bartels 2015): each step solves
+    (I + tau P A P) d = -tau P F on the tangent space {d : d_i . u_i = 0},
+    P the nodewise tangent projection and F = A u - load, and sets
+    u <- (u + d)/|u + d|.  Then |u + d| >= 1, and as every weight is >= 0
+    and the exterior data are unit, the projection cannot raise the energy:
+    the step decreases it for every tau > 0 (step_size, default
+    default_flow_step).  The system is solved by CG preconditioned with the
+    shifted circulant P circ(1/(1 + tau (diagonal - symbol))) P.
 
     Stops when the tangential residual |(-Delta)^s u - u (u . (-Delta)^s u)|
     falls below tol relative to its initial value, or the step budget runs
-    out.  Aborts if the energy rises three steps in a row (step too large).
-    Returns (field, report); the energy trace lists the order-s energy per
-    accepted step.
+    out.  Returns (field, report); the energy trace lists the order-s energy
+    per accepted step.
     """
-    def tangential(u, F):
-        normal = np.sum(u * F, axis=-1, keepdims=True)
-        return float(np.max(np.linalg.norm(F - u * normal, axis=-1)))
+    def advance(op, u, G, tau):
+        P = _tangent(u)
+        shifted = 1.0 / (1.0 + tau * (op.diagonal - op.symbol))
+        # the right-hand side is projected twice: the rounding of one
+        # projection leaves a normal part that CG cannot reduce once P F is small
+        d = _implicit_solve(op, lambda x: P(x + tau * op.matvec(x)),
+                            lambda r: P(op._circulant(P(r), shifted)), P(-tau * G))
+        return _project_sphere(u + d)
 
-    return _sphere_flow(grid, g, s, m, step_size, steps, tol, tangential,
-                        lambda w, tau: _project_sphere(w), lambda u: 0.0, 1.0)
+    return _sphere_flow(grid, g, s, m, step_size, steps, tol,
+                        lambda u, F: _tangent(u)(F), advance, lambda u: 0.0, 1.0)
 
 
 def ginzburg_landau_solve(cfg: GLConfig, g: ExteriorRule, grid: GridSpec,
                           m: int = 2):
     """Penalized relaxation:  (-Delta)^s v = (1/eps)(1 - |v|^2) v  in the
-    ball, v = g outside.  The reaction is integrated implicitly (nodewise
-    scalar Newton), the nonlocal part explicitly.
+    ball, v = g outside, by the same linearly implicit flow: each step
+    solves (I + tau (A + D_u)) d = -tau (F - (1 - |u|^2) u / eps) and sets
+    u <- u + d.  D_u = (1/eps)[max(|u|^2 - 1, 0) I + 2 |u|^2 n n^T],
+    n = u/|u|, is the positive semidefinite part of the penalty's Hessian.
+    The preconditioner sends the tangential part (along P = I - n n^T)
+    through the shifted circulant circ(1/(1 + tau (diagonal - symbol))) and
+    the radial part through the same circulant shifted further by the mean
+    over the nodes of D_u's radial entry.  The penalty is not convex, so a
+    large step can raise the energy; the flow's guard halves tau until it
+    does not.  The step size is default_flow_step.
 
     Returns (field, report); the trace carries the penalized energy
     E_s + (1/(4 eps)) integral of (1 - |v|^2)^2, and constraint_violation
@@ -252,30 +315,37 @@ def ginzburg_landau_solve(cfg: GLConfig, g: ExteriorRule, grid: GridSpec,
     """
     eps = cfg.epsilon
 
-    def residual(u, F):
+    def gradient(u, F):
         mod2 = np.sum(u * u, axis=-1, keepdims=True)
-        return float(np.max(np.linalg.norm(F - (1.0 - mod2) * u / eps, axis=-1)))
+        return F - (1.0 - mod2) * u / eps
 
-    def react(w, tau):
-        # nodewise backward reaction step: rho (1 + a (rho^2 - 1)) = |w|
-        a = tau / eps
-        wn = np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
-        rho = np.maximum(wn, 1.0)
-        for _ in range(40):
-            f = rho * (1.0 + a * (rho * rho - 1.0)) - wn
-            fp = 1.0 + a * (3.0 * rho * rho - 1.0)
-            step = f / fp
-            rho = np.maximum(rho - step, 0.0)
-            if float(np.max(np.abs(step))) < 1e-15:
-                break
-        return w * (rho / np.maximum(wn, 1e-300))
+    def advance(op, u, G, tau):
+        mod2 = np.sum(u * u, axis=-1, keepdims=True)
+        n = u / np.sqrt(mod2)
+        c = np.maximum(mod2 - 1.0, 0.0) / eps
+        P = _tangent(n)
+        shifted = 1.0 / (1.0 + tau * (op.diagonal - op.symbol))
+        # the radial entry of D_u varies little across the nodes: its mean
+        # shifts the circulant for the radial part
+        radial = 1.0 / (1.0 + tau * (op.diagonal - op.symbol
+                                     + float(np.mean(c + 2.0 * mod2 / eps))))
+
+        def matvec(x):
+            Dx = c * x + (2.0 / eps) * u * np.sum(u * x, axis=-1, keepdims=True)
+            return x + tau * (op.matvec(x) + Dx)
+
+        def precondition(r):
+            rn = np.sum(n * r, axis=-1, keepdims=True)
+            return P(op._circulant(P(r), shifted)) + n * op._circulant(rn, radial)
+
+        return u + _implicit_solve(op, matvec, precondition, -tau * G)
 
     def penalty(u):
         mod2 = np.sum(u * u, axis=-1)
         return grid.h**grid.dim / (4.0 * eps) * float(np.sum((1.0 - mod2) ** 2))
 
     return _sphere_flow(grid, g, cfg.s, m, None, cfg.max_steps, cfg.tol,
-                        residual, react, penalty, None)
+                        gradient, advance, penalty, None)
 
 
 def euler_lagrange_residual(u: SampledField, s: float) -> SampledField:
