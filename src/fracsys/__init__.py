@@ -26,7 +26,7 @@ from .fields import (BallStat, ExteriorRule, GridSpec, SampledField,
 from .kernels import (KernelSpec, kernel_bounds_check, make_anisotropic_kernel,
                       make_custom_kernel, make_fractional_kernel,
                       normalization_constant, normalization_limit)
-from .operators import (EnergyValue, apply_LK, apply_LK_field,
+from .operators import (AssembledOperator, EnergyValue, apply_LK, apply_LK_field,
                         apply_fractional_laplacian,
                         apply_fractional_laplacian_field, assemble_dirichlet,
                         bilinear_form, bilinear_form_field, s_energy,
@@ -37,9 +37,9 @@ from .probe import (DecayLedger, GrowthBounds, HarnackReport, barrier_bound,
                     supersolution_family, scaling_ledger,
                     structural_audit)
 from .quadrature import QuadratureScheme, scheme_for
-from .reports import (canonical_json, emit_report, read_field_fsf1,
+from .reports import (canonical_json, emit_report, read_field_fsf1, write_csv,
                       write_field_csv, write_field_fsf1)
-from .solvers import (GLConfig, LinearProblem, SolveReport,
+from .solvers import (GLConfig, LinearProblem, SolveReport, default_flow_step,
                       euler_lagrange_residual, gradient_flow_s_harmonic,
                       ginzburg_landau_solve, solve_linear_dirichlet)
 from .verify import (LimitReport, SmoothedSign, counterexample_residual,

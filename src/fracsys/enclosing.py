@@ -1,8 +1,9 @@
 """Smallest enclosing ball of a finite point set.
 
-Exact (Welzl-type, move-to-front) solver for target dimension m <= 3, and
-Ritter's iterative heuristic above that.  Points are rows of an (k, m) array;
-a ball is (center, radius).
+Exact for target dimension m <= 3 by Welzl's recursion (Welzl 1991; Gaertner
+1999), one recursion over boundary sets whose top level is the empty
+boundary; Ritter's iterative heuristic above that.  Points are rows of an
+(k, m) array; a ball is (center, radius).
 """
 
 from __future__ import annotations
@@ -37,32 +38,25 @@ def _circumball(pts):
     return center, radius
 
 
-def _inside(ball, p):
-    return float(np.linalg.norm(p - ball[0])) <= ball[1] * _EPS + 1e-300
-
-
 def _ball_with_boundary(pts, boundary, dim):
-    if len(boundary) == dim + 1:
-        ball = _circumball(np.array(boundary))
-        if ball is not None:
-            return ball
+    """Smallest ball covering pts with the boundary points on its sphere
+    (None if none is found).  A full, nondegenerate boundary fixes the ball;
+    otherwise one array scan finds each next point outside it."""
     ball = _circumball(np.array(boundary)) if boundary else None
-    for i in range(len(pts)):
-        p = pts[i]
-        if ball is None or not _inside(ball, p):
-            trial = _ball_with_boundary(pts[:i], boundary + [p], dim)
-            if trial is not None:
-                ball = trial
-    return ball
-
-
-def _welzl(points, seed=0):
-    rng = np.random.default_rng(seed)
-    pts = points[rng.permutation(len(points))]
-    ball = None
-    for i in range(len(pts)):
-        if ball is None or not _inside(ball, pts[i]):
-            ball = _ball_with_boundary(pts[:i], [pts[i]], pts.shape[1])
+    if ball is not None and len(boundary) == dim + 1:
+        return ball
+    i = 0
+    while i < len(pts):
+        if ball is not None:
+            d = np.linalg.norm(pts[i:] - ball[0], axis=1)
+            out = np.flatnonzero(~(d <= ball[1] * _EPS + 1e-300))
+            if out.size == 0:
+                break
+            i += int(out[0])
+        trial = _ball_with_boundary(pts[:i], boundary + [pts[i]], dim)
+        if trial is not None:
+            ball = trial
+        i += 1
     return ball
 
 
@@ -95,7 +89,8 @@ def smallest_enclosing_ball(points):
     if pts.shape[1] <= EXACT_DIM_LIMIT:
         # deduplicate: Welzl degenerates on heavy duplication
         uniq = np.unique(pts, axis=0)
-        center, radius = _welzl(uniq)
+        uniq = uniq[np.random.default_rng(0).permutation(len(uniq))]
+        center, radius = _ball_with_boundary(uniq, [], uniq.shape[1])
     else:
         center, radius = _ritter(pts)
     # tighten radius to the actual farthest point

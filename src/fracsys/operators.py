@@ -39,8 +39,8 @@ truncation estimate read the weights and the rule exactly as L_K does.
 
 Evaluations are pure functions of immutable inputs; applying them at many
 points concurrently needs no shared mutable state.  The one mutable piece is
-AssembledOperator.solve_iterations, a log of conjugate-gradient counts that
-no computation reads back.
+AssembledOperator.solve_iterations, the log of conjugate-gradient counts from
+which solve_linear_dirichlet reports its solve's iterations.
 """
 
 from __future__ import annotations
@@ -409,8 +409,8 @@ class AssembledOperator:
     A is symmetric positive definite (M-matrix: positive diagonal, negative
     off-diagonal, strictly dominant through the weights that reach beyond
     the ball).  It is never stored.  The interior values are placed in their
-    bounding box (box, with box_mask marking the interior in it, or None
-    where the interior fills it, as in 1-d), zero-padded to fft_shape, and
+    bounding box (box, with box_mask marking the interior in it, all true
+    where the interior fills the box, as in 1-d), zero-padded to fft_shape, and
     multiplied by a circulant there: symbol is the real FFT of the weights
     cropped to offsets inside the box, wrapped onto fft_shape with the zero
     offset at index 0 (the weights are even and hold 0 at the zero offset,
@@ -440,7 +440,7 @@ class AssembledOperator:
     hvol: float
     truncation_estimate: float
     box: tuple
-    box_mask: Optional[np.ndarray]
+    box_mask: np.ndarray
     symbol: np.ndarray
     fft_shape: tuple
     offdiag_sum: float
@@ -476,16 +476,11 @@ class AssembledOperator:
         transform pair."""
         X = x.reshape(x.shape[0], -1).T
         axes = tuple(range(1, len(self.box) + 1))
-        if self.box_mask is None:
-            f = X
-        else:
-            f = np.zeros((X.shape[0], *self.box))
-            f[:, self.box_mask] = X
+        f = np.zeros((X.shape[0], *self.box))
+        f[:, self.box_mask] = X
         g = np.fft.irfftn(np.fft.rfftn(f, s=self.fft_shape, axes=axes) * multiplier,
                           s=self.fft_shape, axes=axes)
-        g = g[(slice(None),) + tuple(slice(0, n) for n in self.box)]
-        if self.box_mask is not None:
-            g = g[:, self.box_mask]
+        g = g[(slice(None),) + tuple(slice(0, n) for n in self.box)][:, self.box_mask]
         return g.T.reshape(x.shape)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -595,6 +590,5 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
     load, est = _apply(data, kernel)
     return AssembledOperator(grid, kernel, rule, diagonal,
                              load.reshape(-1, m)[interior_flat], interior_flat,
-                             grid.h**grid.dim, est, box,
-                             None if box_mask.all() else box_mask, symbol,
+                             grid.h**grid.dim, est, box, box_mask, symbol,
                              fft_shape, float(np.sum(crop)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -175,17 +176,24 @@ def write_field_fsf1(path, field: SampledField) -> Path:
 
 def read_field_fsf1(path, exterior="zero") -> SampledField:
     """Read a binary field; the exterior rule is not stored and must be
-    resupplied (config rule name or ExteriorRule)."""
+    resupplied (config rule name or ExteriorRule).  DomainError on a
+    malformed file: a short header, n, m or a dim below 1, or a payload that
+    is not exactly prod(dims) * m float64 values."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise DomainError("not a field file (bad magic)")
-    off = 4
-    n, m = struct.unpack_from("<ii", raw, off)
-    off += 8
-    dims = struct.unpack_from(f"<{n}i", raw, off)
-    off += 4 * n
-    (h,) = struct.unpack_from("<d", raw, off)
-    off += 8
+    n, m = struct.unpack_from("<ii", raw, 4) if len(raw) >= 12 else (0, 0)
+    off = 20 + 4 * max(n, 0)
+    if len(raw) < off:
+        raise DomainError(f"FSF1 header needs {off} bytes, file has {len(raw)}")
+    dims = struct.unpack_from(f"<{max(n, 0)}i", raw, 12)
+    (h,) = struct.unpack_from("<d", raw, off - 8)
+    if min(n, m, *dims) < 1:
+        raise DomainError(f"FSF1 n = {n}, m = {m} and dims {list(dims)} must be at least 1")
+    payload = math.prod(dims) * m * 8
+    if len(raw) - off != payload:
+        raise DomainError(f"FSF1 payload of {list(dims)} x {m} float64 needs {payload} bytes, "
+                          f"file has {len(raw) - off}")
     vals = np.frombuffer(raw, dtype="<f8", offset=off).reshape(*dims, m)
     grid = _fsf1_grid(n, dims, h)
     rule = parse_rule(exterior) if isinstance(exterior, str) else exterior

@@ -3,8 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from fracsys import smallest_enclosing_ball
+from fracsys import (GridSpec, GrowthBounds, dyadic_ledger, field_from_function,
+                     smallest_enclosing_ball, zero_rule)
+from fracsys.enclosing import _EPS
 from fracsys.errors import DomainError
+from fracsys.fields import _ball_node_values
 
 
 def brute_force_ball_2d(points):
@@ -89,3 +92,128 @@ class TestHighDimensionHeuristic:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             smallest_enclosing_ball(np.zeros((0, 2)))
+
+
+# -- the per-point Welzl oracle ------------------------------------------------
+#
+# The earlier exact path, kept here as a test-local oracle: a top-level loop
+# and a boundary recursion, each testing one point at a time.  The single
+# recursion in fracsys.enclosing must reproduce it bit for bit.
+
+def _oracle_circumball(pts):
+    p0 = pts[0]
+    if len(pts) == 1:
+        return p0.copy(), 0.0
+    B = pts[1:] - p0
+    G = 2.0 * (B @ B.T)
+    rhs = np.sum(B * B, axis=1)
+    try:
+        lam = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(lam)):
+        return None
+    center = p0 + lam @ B
+    return center, float(np.linalg.norm(center - p0))
+
+
+def _oracle_inside(ball, p):
+    return float(np.linalg.norm(p - ball[0])) <= ball[1] * _EPS + 1e-300
+
+
+def _oracle_ball_with_boundary(pts, boundary, dim):
+    if len(boundary) == dim + 1:
+        ball = _oracle_circumball(np.array(boundary))
+        if ball is not None:
+            return ball
+    ball = _oracle_circumball(np.array(boundary)) if boundary else None
+    for i in range(len(pts)):
+        p = pts[i]
+        if ball is None or not _oracle_inside(ball, p):
+            trial = _oracle_ball_with_boundary(pts[:i], boundary + [p], dim)
+            if trial is not None:
+                ball = trial
+    return ball
+
+
+def _oracle_welzl(points, seed=0):
+    rng = np.random.default_rng(seed)
+    pts = points[rng.permutation(len(points))]
+    ball = None
+    for i in range(len(pts)):
+        if ball is None or not _oracle_inside(ball, pts[i]):
+            ball = _oracle_ball_with_boundary(pts[:i], [pts[i]], pts.shape[1])
+    return ball
+
+
+def oracle_ball(points):
+    """smallest_enclosing_ball as it was for m <= 3: dedupe, the per-point
+    Welzl loop, then the radius tightened to the farthest point."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    center, radius = _oracle_welzl(np.unique(pts, axis=0))
+    radius = max(radius, float(np.max(np.linalg.norm(pts - center, axis=1))))
+    return center, radius
+
+
+def assert_bit_identical(pts):
+    c, r = smallest_enclosing_ball(pts)
+    oc, orad = oracle_ball(pts)
+    assert np.array_equal(c, oc), (c, oc)
+    assert r == orad, (r, orad)
+
+
+def cloud(kind, m, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.normal(size=(n, m))
+    if kind == "sphere":
+        v = rng.normal(size=(n, m))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+    if kind == "duplicated":
+        base = rng.normal(size=(max(n // 4, 1), m))
+        return base[rng.integers(len(base), size=n)]
+    if kind == "collinear":
+        return np.outer(rng.uniform(-2.0, 3.0, size=n), rng.normal(size=m)) + rng.normal(size=m)
+    if kind == "half-grid":
+        return np.round(2.0 * rng.normal(size=(n, m))) / 2.0
+    raise ValueError(kind)
+
+
+class TestMatchesPerPointOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 500, 2000])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["gaussian", "sphere"])
+    def test_seeded_clouds(self, kind, m, n):
+        assert_bit_identical(cloud(kind, m, n, seed=1000 * m + n))
+
+    @pytest.mark.parametrize("n", [3, 17, 500])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["duplicated", "collinear", "half-grid"])
+    def test_degenerate_clouds(self, kind, m, n):
+        assert_bit_identical(cloud(kind, m, n, seed=7 * m + n))
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_dyadic_ledger_levels(self, seed):
+        """Every level of a seeded smooth two-component field on the 2-d
+        h = 1/32 grid, as dyadic_ledger samples it."""
+        rng = np.random.default_rng(seed)
+        kx, ky = rng.uniform(1.0, 3.0, 2)
+        ph = rng.uniform(0.0, 2.0 * np.pi, 3)
+        amp = rng.uniform(0.5, 1.5)
+
+        def fn(p):
+            x, y = p[:, 0], p[:, 1]
+            th = amp * np.sin(kx * x + ph[0]) + 0.5 * amp * np.cos(ky * y + ph[1])
+            r = 0.6 + 0.25 * np.sin(x - y + ph[2])
+            return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+
+        u = field_from_function(GridSpec(dim=2, h=1.0 / 32, radius=1.0), fn, zero_rule(), m=2)
+        origin = np.zeros(2)
+        led = dyadic_ledger(u, origin, 4, GrowthBounds(a=1.0, b=0.0, a_star=0.5, b_star=0.0,
+                                                       M=1.0), s=0.5)
+        for k in range(5):
+            vals = _ball_node_values(u, origin, 0.5**k)
+            assert_bit_identical(vals)
+            oc, orad = oracle_ball(vals)
+            assert np.array_equal(led.centers[k], oc)
+            assert led.radii[k] == orad

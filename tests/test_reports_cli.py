@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -571,3 +572,48 @@ class TestSchemaVersion:
         p.write_text(json.dumps({"command": "audit", "schema_version": 99}))
         assert main(["audit", "--config", str(p)]) == 2
         assert "schema_version" in capsys.readouterr().err
+
+
+class TestFsf1Malformed:
+    """Malformed binary fields are refused with DomainError, naming the
+    expected and actual sizes, rather than escaping as bare errors."""
+
+    @staticmethod
+    def written(tmp_path):
+        grid = GridSpec(dim=1, h=1 / 16, radius=1.0)
+        f = constant_field(grid, [1.0])
+        return write_field_fsf1(tmp_path / "f.fsf1", f), grid.shape[0] * 8
+
+    @pytest.mark.parametrize("change", [-8, -1, 1, 8], ids=["short8", "short1", "long1", "long8"])
+    def test_payload_size(self, tmp_path, change):
+        path, payload = self.written(tmp_path)
+        raw = path.read_bytes()
+        raw = raw[:change] if change < 0 else raw + b"\0" * change
+        path.write_bytes(raw)
+        with pytest.raises(DomainError, match=rf"{payload} bytes.*{payload + change}"):
+            read_field_fsf1(path)
+
+    def test_short_header(self, tmp_path):
+        path, _ = self.written(tmp_path)
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(DomainError, match="header"):
+            read_field_fsf1(path)
+
+    @pytest.mark.parametrize("header", [(1, 1, [0]), (1, 1, [-3]), (2, 1, [5, 0]),
+                                        (0, 1, []), (1, 0, [5]), (-1, 1, [])],
+                             ids=["zero-dim", "negative-dim", "second-dim-zero",
+                                  "n-zero", "m-zero", "n-negative"])
+    def test_nonpositive_sizes(self, tmp_path, header):
+        n, m, dims = header
+        raw = b"FSF1" + struct.pack(f"<ii{len(dims)}id", n, m, *dims, 0.125)
+        path = tmp_path / "f.fsf1"
+        path.write_bytes(raw)
+        with pytest.raises(DomainError, match="FSF1"):
+            read_field_fsf1(path)
+
+    def test_truncated_dims(self, tmp_path):
+        # n = 3 announces 12 bytes of dims that are not there
+        path = tmp_path / "f.fsf1"
+        path.write_bytes(b"FSF1" + struct.pack("<ii", 3, 1) + b"\0" * 4)
+        with pytest.raises(DomainError, match="header"):
+            read_field_fsf1(path)
