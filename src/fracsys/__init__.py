@@ -4,7 +4,8 @@ with probes for oscillation decay, Harnack ratios and structural conditions.
 The package splits into:
 
 * kernels        admissible symmetric kernels and their normalization
-* fields         grids, exterior rules, sampled fields, ball statistics
+* fields         grids, exterior rules, sampled fields, ball averages
+* enclosing      the smallest enclosing ball behind the decay ledgers
 * quadrature     singular-kernel weights shared by every operator
 * operators      L_K, the fractional Laplacian, the bilinear form, energies,
                  and the independent spectral oracle
@@ -18,11 +19,11 @@ The package splits into:
 
 from .enclosing import smallest_enclosing_ball
 from .errors import DomainError, SolverError
-from .fields import (BallStat, ExteriorRule, GridSpec, SampledField,
-                     ball_image_stats, callback_rule, constant_field,
-                     constant_rule, field_average, field_from_function,
-                     parse_rule, periodic_rule, radial_projection_rule,
-                     restrict_rescale, sign_rule, zero_rule)
+from .fields import (ExteriorRule, GridSpec, SampledField, callback_rule,
+                     constant_field, constant_rule, field_average,
+                     field_from_function, parse_rule, periodic_rule,
+                     radial_projection_rule, restrict_rescale, sign_rule,
+                     zero_rule)
 from .kernels import (KernelSpec, kernel_bounds_check, make_anisotropic_kernel,
                       make_custom_kernel, make_fractional_kernel,
                       normalization_constant, normalization_limit)

@@ -45,12 +45,15 @@ class ConfigError(Exception):
 
 
 def _number(where: str, raw, cast=float):
-    """A config value converted by cast (float or int); ConfigError naming
-    where it sits (section.key) when it is not a number."""
+    """A config value converted by cast (float, int or _matrix); ConfigError
+    naming where it sits (section.key) when it is not a number or not finite."""
     try:
-        return cast(raw)
-    except (TypeError, ValueError):
+        value = cast(raw)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be numeric, got {raw!r}") from None
+    if cast is not int and not np.all(np.isfinite(value)):
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
+    return value
 
 
 def _matrix(raw) -> np.ndarray:
@@ -131,17 +134,16 @@ class ExperimentConfig:
 
     def build_kernel(self, dim) -> KernelSpec:
         k = dict(self.kernel)
-        s = k.get("s", 0.5)
-        if not isinstance(s, (int, float)) or not 0.0 < s < 1.0:
+        s = _number("kernel.s", k.get("s", 0.5))
+        if not 0.0 < s < 1.0:
             raise ConfigError("order parameter out of range")
         kind = k.get("kind", "fractional")
         if kind == "fractional":
-            spec = make_fractional_kernel(dim, float(s))
+            spec = make_fractional_kernel(dim, s)
         elif kind == "anisotropic":
             if "matrix" not in k:
                 raise ConfigError("anisotropic kernel needs a matrix")
-            spec = make_anisotropic_kernel(_number("kernel.matrix", k["matrix"], _matrix),
-                                           float(s))
+            spec = make_anisotropic_kernel(_number("kernel.matrix", k["matrix"], _matrix), s)
         else:
             raise ConfigError(f"unsupported kernel kind in config: {kind!r}")
         # ellipticity constants are derived, never user-set; reject mismatches
@@ -154,13 +156,16 @@ class ExperimentConfig:
 
     def build_grid(self, default_dim=1, periodic=False) -> GridSpec:
         g = dict(self.grid)
+        periodic = g.get("periodic", periodic)
+        if not isinstance(periodic, bool):
+            raise ConfigError(f"grid.periodic must be true or false, got {periodic!r}")
         return GridSpec(
             dim=_number("grid.dim", g.get("dim", default_dim), int),
             h=_number("grid.h", g.get("h", 1.0 / 128.0)),
             radius=_number("grid.radius", g.get("radius", 1.0)),
             truncation_radius=_number("grid.truncation_radius",
                                       g.get("truncation_radius", 0.0)),
-            periodic=bool(g.get("periodic", periodic)),
+            periodic=periodic,
         )
 
     def build_bounds(self) -> GrowthBounds:

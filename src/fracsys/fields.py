@@ -21,14 +21,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .enclosing import smallest_enclosing_ball
 from .errors import DomainError
 
 __all__ = [
     "GridSpec",
     "ExteriorRule",
     "SampledField",
-    "BallStat",
     "zero_rule",
     "constant_rule",
     "sign_rule",
@@ -39,7 +37,6 @@ __all__ = [
     "field_from_function",
     "constant_field",
     "field_average",
-    "ball_image_stats",
     "restrict_rescale",
 ]
 
@@ -63,6 +60,9 @@ class GridSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError(f"dimension must be >= 1, got {self.dim}")
+        for name in ("h", "radius", "truncation_radius"):
+            if not np.isfinite(getattr(self, name)):
+                raise DomainError(f"grid {name} must be finite, got {getattr(self, name)}")
         if self.h <= 0:
             raise DomainError("grid spacing must be positive")
         if self.radius <= 0:
@@ -118,8 +118,12 @@ class GridSpec:
         return r < self.radius - 1e-12
 
     def index_of(self, x) -> tuple:
-        """Grid index of the node at coordinate x; DomainError off-node."""
+        """Grid index of the node at coordinate x; DomainError off-node or
+        when x does not have one coordinate per grid dimension."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.dim,):
+            raise DomainError(f"{x} has {x.size} coordinates; the grid has "
+                              f"dimension {self.dim}")
         ax = self.axis()
         idx = []
         for c in x:
@@ -369,45 +373,6 @@ def field_average(u: SampledField, ball) -> np.ndarray:
     center, radius = ball
     vals = _ball_node_values(u, center, radius)
     return vals.mean(axis=0)
-
-
-@dataclass(frozen=True)
-class BallStat:
-    """Image statistics of a field over a ball: mean, oscillation (diameter
-    of the image set) and the smallest ball enclosing the sampled values."""
-
-    center: np.ndarray
-    radius: float
-    mean: np.ndarray
-    osc: float
-    enclosing_center: np.ndarray
-    enclosing_radius: float
-
-
-def _diameter(vals):
-    # exact max pairwise distance, chunked to bound memory
-    best = 0.0
-    step = 512
-    for i in range(0, len(vals), step):
-        chunk = vals[i : i + step]
-        d2 = np.sum((chunk[:, None, :] - vals[None, :, :]) ** 2, axis=-1)
-        best = max(best, float(np.max(d2)))
-    return float(np.sqrt(best))
-
-
-def ball_image_stats(u: SampledField, ball) -> BallStat:
-    """Mean, oscillation and smallest enclosing ball of u over ball nodes."""
-    center, radius = ball
-    vals = _ball_node_values(u, center, radius)
-    ec, er = smallest_enclosing_ball(vals)
-    return BallStat(
-        center=np.atleast_1d(np.asarray(center, dtype=float)),
-        radius=float(radius),
-        mean=vals.mean(axis=0),
-        osc=_diameter(vals),
-        enclosing_center=ec,
-        enclosing_radius=er,
-    )
 
 
 def restrict_rescale(u: SampledField, mu: float, t: float) -> SampledField:

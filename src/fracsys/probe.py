@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .enclosing import smallest_enclosing_ball
-from .fields import GridSpec, SampledField, _ball_node_values, callback_rule, zero_rule
+from .fields import GridSpec, SampledField, _ball_node_values, zero_rule
 from .kernels import KernelSpec, make_fractional_kernel
 from .operators import apply_LK_field, assemble_dirichlet
 from .quadrature import scheme_for
@@ -181,12 +181,8 @@ def supersolution_family(grid: GridSpec, g, m: int = 2):
         rho[0] = 0.9 * (1.0 - l)
         const = 0.5 * M * M + (1.0 - l) * M
         hvals = const - 0.5 * np.sum(vals * vals, axis=1) - vals @ rho
-
-        def h_ext(p):
-            gv = g.values(p, m)
-            return (const - 0.5 * np.sum(gv * gv, axis=1) - gv @ rho)[:, None]
-
-        h = SampledField(grid, hvals.reshape(*grid.shape, 1), callback_rule(h_ext))
+        rule = g.mapped(lambda v: (const - 0.5 * np.sum(v * v, axis=1) - v @ rho)[:, None], m)
+        h = SampledField(grid, hvals.reshape(*grid.shape, 1), rule)
         return h, kernel
 
     return build
@@ -265,7 +261,9 @@ def dyadic_ledger(u: SampledField, x0, levels: int, bounds: GrowthBounds,
 
     The fit uses levels k >= 1 only (the first level carries setup bias) by
     least squares on log M_k.  Needs at least three resolvable levels: the
-    smallest ball must cover a few grid nodes.
+    smallest ball must cover a few grid nodes.  The balls are exact for
+    fields with m <= 3 components; above that they come from Ritter's
+    heuristic (see smallest_enclosing_ball) and each M_k is an upper bound.
     """
     h = u.grid.h
     radii_x = 0.5 ** np.arange(levels + 1)

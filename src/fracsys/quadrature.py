@@ -121,8 +121,6 @@ class QuadratureScheme:
 
     Operators only rely on the public attributes:
 
-    kernel, grid      the bound pair;
-    near_radius       half-width of the moment-matched inner region;
     weights           the node weights as one offset array: shape (2M+1,)*dim
                       with the zero offset at the centre in free space,
                       (N,)*dim indexed by torus shift (0 = zero offset) on
@@ -143,9 +141,6 @@ class QuadratureScheme:
                       weights nonnegative (rotated anisotropic kernels only).
     """
 
-    kernel: KernelSpec
-    grid: GridSpec
-    near_radius: float
     weights: np.ndarray
     tail_directions: tuple = ()
     tail_mass: float = 0.0
@@ -156,34 +151,6 @@ class QuadratureScheme:
         """Sum of all node weights plus the tail mass along each direction:
         the operator's diagonal."""
         return float(np.sum(self.weights)) + len(self.tail_directions) * self.tail_mass
-
-    def innermost_moment_ratio(self) -> float:
-        """Innermost weight against an independent quadrature of its defining
-        moment integral; consistency demands a ratio near 1."""
-        h = self.grid.h
-        s = self.kernel.s
-        c = 0 if self.grid.periodic else self.weights.shape[0] // 2
-        # the weight at one step along the first axis
-        w1 = float(self.weights[(c + 1,) + (c,) * (self.grid.dim - 1)])
-        if self.grid.dim == 1:
-            # independent path: factored-singularity midpoint on a fine grid
-            edges = np.linspace(0.0, 1.5 * h, 2001)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            psi = self.kernel(mid) * mid ** (1.0 + 2.0 * s)
-            seg = (edges[1:] ** (2.0 - 2.0 * s) - edges[:-1] ** (2.0 - 2.0 * s)) / (2.0 - 2.0 * s)
-            ref = float(np.sum(psi * seg)) / h**2
-            return w1 / ref
-        # independent angular rule: Gauss-Legendre per octant, radial by _ray
-        gx, gw = np.polynomial.legendre.leggauss(48)
-        t11 = 0.0
-        for oct_lo in np.arange(8) * (np.pi / 4.0):
-            th = oct_lo + (gx + 1.0) * (np.pi / 8.0)
-            wq = gw * (np.pi / 8.0)
-            rmax = self.near_radius / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
-            e = np.stack([np.cos(th), np.sin(th)], axis=-1)
-            base = _ray(self.kernel, _ray_psi(self.kernel, e), 0.0, rmax, 3)
-            t11 += float(np.sum(wq * base * np.cos(th) ** 2))
-        return w1 / (t11 / (2.0 * h * h))
 
 
 def _near_shell_count(grid: GridSpec) -> int:
@@ -224,7 +191,6 @@ def _build_line_scheme(kernel, grid):
     T = (J + 0.5) * h
     lam_up = (1.0 - kernel.s) * kernel.Lam
     return QuadratureScheme(
-        kernel, grid, near_radius=(q + 0.5) * h,
         weights=_centred(w),
         tail_directions=(np.array([1.0]), np.array([-1.0])),
         tail_mass=float(_ray_tail(kernel, _ray_psi(kernel, 1.0), T, 0)),
@@ -258,8 +224,7 @@ def _build_periodic_line_scheme(kernel, grid):
     # images of the origin cell at k*P: quadratic model onto the first node
     kk = np.arange(1, _N_IMAGES + 1) * P
     w[0] += float(np.sum(kernel(kk) * h**3 / 12.0)) / h**2
-    return QuadratureScheme(kernel, grid, near_radius=(q + 0.5) * h,
-                            weights=_torus_fold(_centred(w), N))
+    return QuadratureScheme(weights=_torus_fold(_centred(w), N))
 
 
 def _centred(w: np.ndarray) -> np.ndarray:
@@ -363,7 +328,7 @@ def _build_plane_scheme(kernel, grid):
     T = (M + 0.5) * h
     lam_up = (1.0 - kernel.s) * kernel.Lam
     return QuadratureScheme(
-        kernel, grid, near_radius=(q + 0.5) * h, weights=W,
+        weights=W,
         tail_directions=(np.array([1.0, 0.0]),),
         tail_mass=_square_tail_mass(kernel, T),
         tail_upper=lam_up * 2.0 * np.pi * T ** (-2.0 * kernel.s) / (2.0 * kernel.s),
@@ -443,8 +408,7 @@ def _build_periodic_plane_scheme(kernel, grid, alpha=None):
         W[:, [0, -1]] *= 0.5
     W = _torus_fold(W, N)
     W[0, 0] = 0.0
-    return QuadratureScheme(kernel, grid, near_radius=(q + 0.5) * grid.h,
-                            weights=W, dropped_cross_moment=dropped)
+    return QuadratureScheme(weights=W, dropped_cross_moment=dropped)
 
 
 @lru_cache(maxsize=16)

@@ -37,6 +37,11 @@ _MAGIC = b"FSF1"
 
 
 def _canonicalize(obj):
+    # a SampledField is a dataclass too, whose exterior rule holds functions:
+    # it is summarized before the generic dataclass branch can recurse into it
+    if isinstance(obj, SampledField):
+        return {"grid": _canonicalize(obj.grid), "m": obj.m,
+                "exterior": obj.exterior.kind}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         d = {}
         for f in dataclasses.fields(obj):
@@ -54,9 +59,6 @@ def _canonicalize(obj):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, SampledField):
-        return {"grid": _canonicalize(obj.grid), "m": obj.m,
-                "exterior": obj.exterior.kind}
     return obj
 
 

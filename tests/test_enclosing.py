@@ -12,26 +12,41 @@ from fracsys.fields import _ball_node_values
 
 def brute_force_ball_2d(points):
     """Exact O(k^3) oracle: best circle through all pairs (as diameter) and
-    all triples (circumcircle) that covers the set."""
+    all triples (circumcircle) that covers the set, every candidate built and
+    checked as one array."""
     pts = np.asarray(points, dtype=float)
-    best = None
-    candidates = []
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        candidates.append(((pts[i] + pts[j]) / 2, np.linalg.norm(pts[i] - pts[j]) / 2))
-    for i, j, k in itertools.combinations(range(len(pts)), 3):
-        a, b, c = pts[i], pts[j], pts[k]
-        d = 2 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-        if abs(d) < 1e-14:
-            continue
-        ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])) / d
-        uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])) / d
-        center = np.array([ux, uy])
-        candidates.append((center, np.linalg.norm(a - center)))
-    for center, radius in candidates:
-        if np.max(np.linalg.norm(pts - center, axis=1)) <= radius * (1 + 1e-10):
-            if best is None or radius < best[1]:
-                best = (center, radius)
-    return best
+
+    def subsets(r):
+        # every r-subset of the points, as r arrays of rows
+        idx = np.array(list(itertools.combinations(range(len(pts)), r)), dtype=int)
+        return [pts[col] for col in idx.reshape(-1, r).T]
+
+    p, q = subsets(2)
+    centers = [(p + q) / 2]
+    radii = [np.linalg.norm(p - q, axis=1) / 2]
+    a, b, c = subsets(3)
+    d = 2 * (a[:, 0] * (b[:, 1] - c[:, 1]) + b[:, 0] * (c[:, 1] - a[:, 1])
+             + c[:, 0] * (a[:, 1] - b[:, 1]))
+    keep = ~(np.abs(d) < 1e-14)
+    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+    aa, bb, cc = (np.sum(v * v, axis=1) for v in (a, b, c))
+    ux = (aa * (b[:, 1] - c[:, 1]) + bb * (c[:, 1] - a[:, 1]) + cc * (a[:, 1] - b[:, 1])) / d
+    uy = (aa * (c[:, 0] - b[:, 0]) + bb * (a[:, 0] - c[:, 0]) + cc * (b[:, 0] - a[:, 0])) / d
+    center = np.stack([ux, uy], axis=-1)
+    centers.append(center)
+    radii.append(np.linalg.norm(a - center, axis=1))
+    centers, radii = np.concatenate(centers), np.concatenate(radii)
+    # the farthest point from each candidate center, a block of centers at a time
+    reach = np.concatenate([
+        np.sqrt(np.max((pts[:, 0] - block[:, :1]) ** 2 + (pts[:, 1] - block[:, 1:]) ** 2,
+                       axis=1))
+        for block in np.array_split(centers, max(1, len(centers) // 4096))])
+    covers = np.flatnonzero(reach <= radii * (1 + 1e-10))
+    if covers.size == 0:
+        return None
+    # the first smallest covering candidate, as a strict "<" scan would keep
+    best = covers[np.argmin(radii[covers])]
+    return centers[best], float(radii[best])
 
 
 class TestExactLowDimension:

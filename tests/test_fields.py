@@ -1,15 +1,60 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from fracsys import (DomainError, GridSpec, SampledField, apply_LK_field,
-                     ball_image_stats, callback_rule, constant_field, constant_rule,
+                     callback_rule, constant_field, constant_rule,
                      field_average, field_from_function, make_fractional_kernel,
                      parse_rule, periodic_rule, radial_projection_rule,
-                     restrict_rescale, sign_rule, zero_rule)
+                     restrict_rescale, sign_rule, smallest_enclosing_ball, zero_rule)
+from fracsys.fields import _ball_node_values
 
 
 def _grid(h=1 / 64, radius=1.0, dim=1):
     return GridSpec(dim=dim, h=h, radius=radius)
+
+
+# Test-local oracle: the full per-ball image statistics, mean, oscillation and
+# smallest enclosing ball of the node values; probe.dyadic_ledger reports the
+# enclosing balls and the finest mean without the diameter.
+@dataclass(frozen=True)
+class BallStat:
+    """Image statistics of a field over a ball: mean, oscillation (diameter
+    of the image set) and the smallest ball enclosing the sampled values."""
+
+    center: np.ndarray
+    radius: float
+    mean: np.ndarray
+    osc: float
+    enclosing_center: np.ndarray
+    enclosing_radius: float
+
+
+def _diameter(vals):
+    # exact max pairwise distance, chunked to bound memory
+    best = 0.0
+    step = 512
+    for i in range(0, len(vals), step):
+        chunk = vals[i : i + step]
+        d2 = np.sum((chunk[:, None, :] - vals[None, :, :]) ** 2, axis=-1)
+        best = max(best, float(np.max(d2)))
+    return float(np.sqrt(best))
+
+
+def ball_image_stats(u: SampledField, ball) -> BallStat:
+    """Mean, oscillation and smallest enclosing ball of u over ball nodes."""
+    center, radius = ball
+    vals = _ball_node_values(u, center, radius)
+    ec, er = smallest_enclosing_ball(vals)
+    return BallStat(
+        center=np.atleast_1d(np.asarray(center, dtype=float)),
+        radius=float(radius),
+        mean=vals.mean(axis=0),
+        osc=_diameter(vals),
+        enclosing_center=ec,
+        enclosing_radius=er,
+    )
 
 
 class TestGridSpec:
@@ -21,6 +66,20 @@ class TestGridSpec:
             GridSpec(dim=1, h=-0.1, radius=1.0)
         with pytest.raises(DomainError):
             GridSpec(dim=1, h=0.1, radius=1.0, truncation_radius=2.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["h", "radius", "truncation_radius"])
+    def test_refuses_non_finite_sizes(self, name, value):
+        sizes = {"h": 0.1, "radius": 1.0, "truncation_radius": 4.0, name: value}
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            GridSpec(dim=1, **sizes)
+
+    @pytest.mark.parametrize("x", [[0.0], [0.0, 0.0, 0.0]], ids=["short", "long"])
+    def test_index_of_needs_one_coordinate_per_dimension(self, x):
+        g = _grid(h=1 / 8, dim=2)
+        assert g.index_of([0.0, 0.0]) == (16, 16)
+        with pytest.raises(DomainError, match="dimension 2"):
+            g.index_of(x)
 
     def test_nodes_cover_ball_and_collar(self):
         g = _grid(h=1 / 8)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from fracsys import (DomainError, GridSpec, GrowthBounds, SampledField,
-                     ball_image_stats, barrier_bound, callback_rule, constant_field,
+                     barrier_bound, callback_rule, constant_field,
                      contraction_step, dyadic_ledger, field_from_function,
                      gradient_flow_s_harmonic, harnack_probe, harnack_sweep,
                      head_start_level, supersolution_family,
                      make_custom_kernel, make_fractional_kernel,
                      restrict_rescale, scaling_ledger, sign_rule,
-                     structural_audit, zero_rule)
+                     smallest_enclosing_ball, structural_audit, zero_rule)
 from fracsys.fields import _ball_node_values
 
 
@@ -180,8 +180,8 @@ class TestDyadicLedger:
         assert led.alpha_fit == pytest.approx(0.5, rel=0.1)
 
     def test_matches_ball_image_stats_bit_for_bit(self):
-        # the ledger skips the unused diameter; every value it reports equals
-        # the one built from the full per-level ball statistics
+        # every value the ledger reports equals the one built from each
+        # level's node values and their smallest enclosing ball
         grid = GridSpec(dim=2, h=1 / 16, radius=1.0)
 
         def fn(p):
@@ -191,16 +191,17 @@ class TestDyadicLedger:
         u = field_from_function(grid, fn, callback_rule(fn), m=2)
         x0 = np.zeros(2)
         led = dyadic_ledger(u, x0, 3, GrowthBounds(1, 0, 0, 0, 2.0), s=0.5)
-        stats = [ball_image_stats(u, (x0, r)) for r in led.ball_radii]
-        centers = np.array([st.enclosing_center for st in stats])
-        radii = np.array([st.enclosing_radius for st in stats])
+        vals = [_ball_node_values(u, x0, r) for r in led.ball_radii]
+        balls = [smallest_enclosing_ball(v) for v in vals]
+        centers = np.array([c for c, _ in balls])
+        radii = np.array([r for _, r in balls])
         containment = max([0.0] + [
             float(np.max(np.linalg.norm(
                 _ball_node_values(u, x0, led.ball_radii[k + 1]) - centers[k], axis=1)))
             - radii[k] for k in range(3)])
         assert np.array_equal(led.centers, centers)
         assert np.array_equal(led.radii, radii)
-        assert led.finest_mean_norm == float(np.linalg.norm(stats[-1].mean))
+        assert led.finest_mean_norm == float(np.linalg.norm(vals[-1].mean(axis=0)))
         assert led.containment_violation == containment
 
     def test_needs_resolvable_levels(self):

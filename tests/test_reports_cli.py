@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fracsys import (DomainError, GridSpec, GrowthBounds, LinearProblem, SolverError,
-                     canonical_json, constant_field, dyadic_ledger, emit_report,
-                     field_from_function, make_anisotropic_kernel, periodic_rule,
+                     barrier_bound, canonical_json, constant_field, dyadic_ledger,
+                     emit_report, field_from_function, make_anisotropic_kernel,
+                     make_fractional_kernel, periodic_rule,
                      read_field_fsf1, s_limit_isotropic, sign_rule, solve_linear_dirichlet,
                      write_field_csv, write_field_fsf1, zero_rule)
 from fracsys.cli import ExperimentConfig, main
@@ -25,6 +26,14 @@ class TestCanonicalJson:
         rep = SolveReport(iterations=3, final_residual=1e-9,
                           energy_trace=(1.0, 0.5), constraint_violation=0.0)
         assert canonical_json(rep) == canonical_json(rep)
+
+    def test_barrier_bound_result_emits(self, tmp_path):
+        grid = GridSpec(dim=1, h=1 / 16, radius=1.0)
+        res = barrier_bound(grid, make_fractional_kernel(1, 0.5))
+        data = json.loads(emit_report(res, tmp_path / "barrier.json").read_text())
+        assert data["v"] == {"exterior": "zero", "m": 1, "grid": json.loads(canonical_json(grid))}
+        assert data["tau"] == 2.0 * data["L_bound"] == res["tau"]
+        assert data["report"]["iterations"] == res["report"].iterations
 
     def test_emit_twice_byte_identical(self, tmp_path):
         rep = {"x": np.pi, "flag": True, "seq": [1, 2.5]}
@@ -617,3 +626,68 @@ class TestFsf1Malformed:
         path.write_bytes(b"FSF1" + struct.pack("<ii", 3, 1) + b"\0" * 4)
         with pytest.raises(DomainError, match="header"):
             read_field_fsf1(path)
+
+
+class TestConfigValuesRefused:
+    """Config values the runner cannot honour end in a configuration error
+    (exit 2) naming section.key, before any output is written."""
+
+    @staticmethod
+    def run(tmp_path, capsys, command, **sections):
+        cfg = {"command": command, "grid": {"dim": 1, "h": 1 / 16, "radius": 1.0},
+               "output_dir": str(tmp_path / "out"), **sections}
+        tmp_path.mkdir(parents=True, exist_ok=True)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(p)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("nan"), float("inf")],
+                             ids=["str-nan", "str-inf", "str--inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("key", ["h", "radius", "truncation_radius"])
+    def test_non_finite_grid_size(self, tmp_path, capsys, key, value):
+        grid = {"dim": 1, "h": 1 / 16, "radius": 1.0, key: value}
+        code, err = self.run(tmp_path, capsys, "solve-linear", grid=grid)
+        assert code == 2
+        assert f"grid.{key} must be finite" in err
+        assert not (tmp_path / "out" / "field.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve-harmonic", "solve-gl"])
+    @pytest.mark.parametrize("key", ["tol", "amplitude"])
+    def test_non_finite_solver_value(self, tmp_path, capsys, command, key):
+        code, err = self.run(tmp_path, capsys, command, solver={key: "nan"})
+        assert code == 2
+        assert f"solver.{key} must be finite" in err
+        assert not (tmp_path / "out" / "field.csv").exists()
+
+    def test_non_finite_integer_value(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, "solve-harmonic", solver={"steps": float("inf")})
+        assert code == 2
+        assert "solver.steps must be numeric" in err
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_periodic_needs_json_boolean(self, tmp_path, capsys, value):
+        grid = {"dim": 1, "h": 2 * np.pi / 64, "radius": np.pi, "periodic": value}
+        code, err = self.run(tmp_path, capsys, "limit", grid=grid, s_values=[0.9])
+        assert code == 2
+        assert "grid.periodic must be true or false" in err
+        assert not (tmp_path / "out" / "limit.json").exists()
+
+    def test_periodic_false_runs_free_space(self, tmp_path, capsys):
+        grid = {"dim": 1, "h": 1 / 16, "radius": 1.0, "periodic": False}
+        code, _ = self.run(tmp_path, capsys, "solve-linear", grid=grid)
+        assert code == 0
+
+    def test_order_given_as_string_is_read_as_number(self, tmp_path, capsys):
+        runs = []
+        for tag, s in (("str", "0.5"), ("num", 0.5)):
+            code, _ = self.run(tmp_path / tag, capsys, "solve-linear", kernel={"s": s})
+            assert code == 0
+            runs.append((tmp_path / tag / "out" / "field.fsf1").read_bytes())
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("value", ["half", "nan", [0.5]], ids=["word", "nan", "list"])
+    def test_order_not_a_finite_number(self, tmp_path, capsys, value):
+        code, err = self.run(tmp_path, capsys, "solve-linear", kernel={"s": value})
+        assert code == 2
+        assert "kernel.s must be" in err
