@@ -46,11 +46,16 @@ class ConfigError(Exception):
 
 def _number(where: str, raw, cast=float):
     """A config value converted by cast (float, int or _matrix); ConfigError
-    naming where it sits (section.key) when it is not a number or not finite."""
+    naming where it sits (section.key) when it is a JSON boolean (which
+    would read as 1 or 0), not a number or not finite, and for cast int when
+    it has a fractional part (int would truncate it)."""
     try:
         value = cast(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be numeric, got {raw!r}") from None
+    if isinstance(raw, bool) or (cast is int and isinstance(raw, float) and value != raw):
+        raise ConfigError(f"{where} must be {'an integer' if cast is int else 'numeric'}, "
+                          f"got {raw!r}")
     if cast is not int and not np.all(np.isfinite(value)):
         raise ConfigError(f"{where} must be finite, got {raw!r}")
     return value
@@ -290,7 +295,10 @@ def _cmd_audit(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
-    rng = np.random.default_rng(cfg.seed)
+    seed = _number("seed", cfg.seed, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    rng = np.random.default_rng(seed)
     verdicts = []
 
     grid = GridSpec(dim=1, h=1.0 / 32.0, radius=1.0)

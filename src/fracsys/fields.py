@@ -166,12 +166,18 @@ class ExteriorRule:
     def mapped(self, f: Callable, m: int) -> "ExteriorRule":
         """The rule with values f(v), v the (k, m) values of this rule, of the
         same kind; a far limit is mapped along, so a constant far field stays
-        closed form."""
+        closed form.  A map of the zero or a constant rule is the constant
+        rule of the mapped value, and keeps the kind "zero" only when that
+        value is zero."""
         lim = self.limit
+        kind, vector = self.kind, self.vector
+        if kind in ("zero", "constant"):
+            value = f(lim(None, m)[None, :])[0]  # the limit ignores the direction
+            if kind == "constant" or np.any(value != 0.0):
+                kind, vector = "constant", tuple(value)
         return ExteriorRule(
-            self.kind, lambda pts, _: f(self.fn(pts, m)),
-            None if lim is None else lambda d, _: f(lim(d, m)[None, :])[0],
-            None if self.vector is None else tuple(f(np.asarray([self.vector]))[0]))
+            kind, lambda pts, _: f(self.fn(pts, m)),
+            None if lim is None else lambda d, _: f(lim(d, m)[None, :])[0], vector)
 
 
 def zero_rule() -> ExteriorRule:

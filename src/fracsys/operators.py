@@ -37,16 +37,28 @@ The Dirichlet load of assemble_dirichlet is L_K of the exterior data alone
 same table, correlation and tail as any other field, so the load and its
 truncation estimate read the weights and the rule exactly as L_K does.
 
+Data that depends only on the grid, or only on the kernel and the grid, is
+built once and shared (plan once, execute many times, as in FFTW; Frigo &
+Johnson 2005): the coordinates of the padded nodes beyond the stored block
+and their mask, per grid and padding width (_padding), and the interior
+operator's nodes, box, symbol and diagonal, per kernel, grid and choice of
+far limit (_interior_plan).  Their arrays are read-only, so no caller can
+change what another reads.  A table that holds only zeros (the load of zero
+exterior data) is not correlated: its correlation is exactly zero.
+
 Evaluations are pure functions of immutable inputs; applying them at many
-points concurrently needs no shared mutable state.  The one mutable piece is
+points concurrently needs no shared mutable state.  Two pieces are mutable:
 AssembledOperator.solve_iterations, the log of conjugate-gradient counts from
-which solve_linear_dirichlet reports its solve's iterations.
+which solve_linear_dirichlet reports its solve's iterations, and the plan's
+memo of inverse_norm_bound per diagonal, which only ever gains the value
+the bound would compute.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -86,10 +98,20 @@ def _correlator(W: np.ndarray, shape: tuple, periodic: bool):
         return lambda f: np.real(np.fft.ifftn(np.fft.fftn(f) * Fw))
     size = tuple(next_fast_len(n, real=True) for n in shape)
     axes = tuple(range(len(shape)))
-    keep = tuple(slice(0, n - k + 1) for n, k in zip(shape, W.shape))
+    keep = tuple(n - k + 1 for n, k in zip(shape, W.shape))
     Fw = np.conj(np.fft.rfftn(W, s=size, axes=axes))
-    return lambda f: np.fft.irfftn(np.fft.rfftn(f, s=size, axes=axes) * Fw,
-                                   s=size, axes=axes)[keep]
+    return lambda f: _irfftn_head(np.fft.rfftn(f, s=size, axes=axes) * Fw, size, axes, keep)
+
+
+def _irfftn_head(F: np.ndarray, s: tuple, axes: tuple, keep: tuple) -> np.ndarray:
+    """irfftn(F, s, axes) cropped to its first keep[i] entries along axes[i]
+    (axes[-1] the last axis of F).  The same 1-d transforms as irfftn, in the
+    same order, so the kept entries are bit-identical; each leading axis is
+    cropped before the next transform, so the rows that are cut away are
+    never transformed."""
+    for ax, n, k in zip(axes[:-1], s, keep):
+        F = np.fft.ifft(F, n, axis=ax)[(slice(None),) * ax + (slice(0, k),)]
+    return np.fft.irfft(F, s[-1], axis=axes[-1])[..., : keep[-1]]
 
 
 def _pair_sum(corr, S, a, b, Ea, Eb):
@@ -116,12 +138,22 @@ def _window(E: np.ndarray, W: np.ndarray, idx: tuple, periodic: bool):
 # -- value tables -------------------------------------------------------------
 
 
-def _padded_points(grid: GridSpec, M: int):
-    """Node coordinates of the grid padded by M nodes per side."""
+@lru_cache(maxsize=16)
+def _padding(grid: GridSpec, M: int):
+    """The nodes of the grid padded by M nodes per side that lie beyond the
+    stored block: their coordinates (k, dim), and the mask marking them in
+    the padded shape.  Both depend on the grid alone, so they are built once
+    per grid and width, and are read-only."""
     ax = grid.axis()
     full = np.concatenate([ax[0] + grid.h * np.arange(-M, 0), ax,
                            ax[-1] + grid.h * np.arange(1, M + 1)])
-    return np.stack(np.meshgrid(*([full] * grid.dim), indexing="ij"), axis=-1)
+    pts = np.stack(np.meshgrid(*([full] * grid.dim), indexing="ij"), axis=-1)
+    out = np.ones(pts.shape[:-1], dtype=bool)
+    out[(slice(M, M + grid.shape[0]),) * grid.dim] = False
+    outside = pts[out]
+    outside.setflags(write=False)
+    out.setflags(write=False)
+    return outside, out
 
 
 def _rule_values(rule: ExteriorRule, pts: np.ndarray, m: int) -> np.ndarray:
@@ -150,13 +182,10 @@ def _table(u: SampledField, scheme) -> _Table:
     if grid.periodic:
         return _Table(v, v, [], ref)
     M = scheme.weights.shape[0] // 2
-    pts = _padded_points(grid, M)
-    E = np.zeros((*pts.shape[:-1], u.m))
-    stored = (slice(M, M + grid.shape[0]),) * grid.dim
-    out = np.ones(pts.shape[:-1], dtype=bool)
-    out[stored] = False
-    E[out] = _rule_values(u.exterior, pts[out], u.m) - ref
-    E[stored] = v
+    outside, out = _padding(grid, M)
+    E = np.empty((*out.shape, u.m))
+    E[out] = _rule_values(u.exterior, outside, u.m) - ref
+    E[(slice(M, M + grid.shape[0]),) * grid.dim] = v
     limits = u.exterior.far_limits(u.m)
     g = None if limits is None else [limits(d) - ref for d in scheme.tail_directions]
     return _Table(v, E, g, ref)
@@ -165,9 +194,12 @@ def _table(u: SampledField, scheme) -> _Table:
 def _far_magnitude(u: SampledField, t: _Table) -> float:
     """Crude sup bound used only in truncation-error estimates: the largest
     |u| the table holds (the stored values and the rule on every padded
-    node), or u.bound when that is larger."""
+    node), or u.bound when that is larger.  sqrt is monotone and correctly
+    rounded, so the root of the largest squared norm is the largest norm,
+    without an array of norms."""
     vals = t.E + t.ref
-    sup = float(np.max(np.sqrt(np.sum(vals * vals, axis=-1))))
+    vals *= vals
+    sup = float(np.sqrt(np.max(np.sum(vals, axis=-1))))
     return sup if u.bound is None else max(sup, float(u.bound))
 
 
@@ -189,9 +221,12 @@ def _apply(u: SampledField, kernel: KernelSpec, idx=None):
     W = scheme.weights
     t = _table(u, scheme)
     if idx is None:
-        corr = _correlator(W, t.E.shape[:-1], u.grid.periodic)
         v = t.v
-        WE = np.stack([corr(t.E[..., c]) for c in range(u.m)], axis=-1)
+        if t.E.any():
+            corr = _correlator(W, t.E.shape[:-1], u.grid.periodic)
+            WE = np.stack([corr(t.E[..., c]) for c in range(u.m)], axis=-1)
+        else:  # the correlation of an all-zero table is exactly zero
+            WE = np.zeros(v.shape)
     else:
         v = t.v[idx]
         WE = np.tensordot(W, _window(t.E, W, idx, u.grid.periodic), axes=W.ndim)
@@ -400,6 +435,25 @@ def _cg(matvec, precondition, b: np.ndarray, condition_estimate: float):
 
 
 @dataclass(frozen=True, eq=False)
+class _InteriorPlan:
+    """The part of an interior operator that depends on the kernel and the
+    grid alone, and on whether the exterior rule has a far limit (which sets
+    the diagonal); see AssembledOperator for the fields.  Built once per
+    (kernel, grid, far limit or not) by _interior_plan; its arrays are
+    read-only.  bounds memoizes inverse_norm_bound per diagonal: the bound
+    reads nothing but these arrays and the diagonal."""
+
+    interior_flat: np.ndarray
+    box: tuple
+    box_mask: np.ndarray
+    symbol: np.ndarray
+    fft_shape: tuple
+    offdiag_sum: float
+    diagonal: float
+    bounds: dict = dataclasses.field(default_factory=dict, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
 class AssembledOperator:
     """Matrix-free interior form of -L_K with exterior data folded into a load:
 
@@ -424,28 +478,34 @@ class AssembledOperator:
     every row's off-diagonal sum and so gives the Gershgorin
     condition_estimate.
 
-    interior_flat indexes the interior nodes in the flattened grid; rule is
-    the exterior data folded into load; hvol is the node volume, used by the
-    quadratic energy form.  Every interior solve goes through solve
-    (preconditioned conjugate gradients; solve_iterations logs each one's
-    iteration count), and field turns interior values into a full field.
-    The dense matrix A is gathered only on request, as the test oracle."""
+    interior_flat indexes the interior nodes in the flattened grid.  It, box,
+    box_mask, symbol, fft_shape and offdiag_sum are read from plan, which
+    every operator of one kernel and grid (and one choice of far limit)
+    shares; the arrays are read-only.  diagonal, the load and its
+    truncation_estimate belong to the operator.  rule is the exterior data
+    folded into load; hvol is the node volume, used by the quadratic energy
+    form.  Every interior solve goes through solve (preconditioned conjugate
+    gradients; solve_iterations logs each one's iteration count), and field
+    turns interior values into a full field.  The dense matrix A is
+    gathered only on request, as the test oracle."""
 
     grid: GridSpec
     kernel: KernelSpec
     rule: ExteriorRule
     diagonal: float
     load: np.ndarray
-    interior_flat: np.ndarray
     hvol: float
     truncation_estimate: float
-    box: tuple
-    box_mask: np.ndarray
-    symbol: np.ndarray
-    fft_shape: tuple
-    offdiag_sum: float
+    plan: _InteriorPlan = dataclasses.field(repr=False)
     solve_iterations: list = dataclasses.field(default_factory=list, init=False,
                                                repr=False)
+
+    interior_flat = property(lambda self: self.plan.interior_flat)
+    box = property(lambda self: self.plan.box)
+    box_mask = property(lambda self: self.plan.box_mask)
+    symbol = property(lambda self: self.plan.symbol)
+    fft_shape = property(lambda self: self.plan.fft_shape)
+    offdiag_sum = property(lambda self: self.plan.offdiag_sum)
 
     @property
     def A(self) -> np.ndarray:
@@ -473,15 +533,14 @@ class AssembledOperator:
         """The circulant with the given real Fourier multiplier on fft_shape,
         applied to x (n_interior,) or (n_interior, m) placed in the box and
         restricted back to the interior; every column in one real-FFT
-        transform pair."""
+        transform pair, whose inverse transforms only the rows of the box."""
         X = x.reshape(x.shape[0], -1).T
         axes = tuple(range(1, len(self.box) + 1))
         f = np.zeros((X.shape[0], *self.box))
         f[:, self.box_mask] = X
-        g = np.fft.irfftn(np.fft.rfftn(f, s=self.fft_shape, axes=axes) * multiplier,
-                          s=self.fft_shape, axes=axes)
-        g = g[(slice(None),) + tuple(slice(0, n) for n in self.box)][:, self.box_mask]
-        return g.T.reshape(x.shape)
+        g = _irfftn_head(np.fft.rfftn(f, s=self.fft_shape, axes=axes) * multiplier,
+                         self.fft_shape, axes, self.box)
+        return g[:, self.box_mask].T.reshape(x.shape)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x for x of shape (n_interior,) or (n_interior, m)."""
@@ -509,11 +568,17 @@ class AssembledOperator:
         ||A^(-1)||_inf = max(A^(-1) 1).  With v from a PCG solve of A v = 1
         and rho = ||1 - A v||_inf, A^(-1) 1 = v + A^(-1)(1 - A v) gives
         ||A^(-1)||_inf <= max(v) / (1 - rho); inf when rho >= 1.  Calls
-        matvec directly, never solve."""
-        ones = np.ones(self.interior_flat.size)
-        v, _ = _cg(self.matvec, self.precondition, ones, self.condition_estimate)
-        rho = float(np.max(np.abs(ones - self.matvec(v))))
-        return float(np.max(v)) / (1.0 - rho) if rho < 1.0 else float("inf")
+        matvec directly, never solve.  The bound reads only the plan and the
+        diagonal, so it is computed once per plan and diagonal and memoized
+        in plan.bounds."""
+        bounds = self.plan.bounds
+        if self.diagonal not in bounds:
+            ones = np.ones(self.interior_flat.size)
+            v, _ = _cg(self.matvec, self.precondition, ones, self.condition_estimate)
+            rho = float(np.max(np.abs(ones - self.matvec(v))))
+            bounds[self.diagonal] = (float(np.max(v)) / (1.0 - rho) if rho < 1.0
+                                     else float("inf"))
+        return bounds[self.diagonal]
 
     def field(self, u_int: np.ndarray, bound=None) -> SampledField:
         """The field with values u_int (n_interior, m) on the interior nodes
@@ -546,26 +611,19 @@ def _dirichlet_field(grid: GridSpec, rule: ExteriorRule, interior_flat: np.ndarr
     return SampledField(grid, vals.reshape(*grid.shape, m), rule, bound)
 
 
-def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
-                       m: int = 1) -> AssembledOperator:
-    """-L_K on the interior nodes of the grid ball with the given exterior rule
-    supplying all data outside, matrix-free.  Stores the diagonal (the
-    scheme's, tail mass included, when the rule has a far limit; the sum of
-    the weights otherwise), the interior's bounding box with its mask, and
-    the real symbol of the weights cropped to the box, which drives both
-    the matvec and the circulant preconditioner.  The load is L_K of the
-    exterior data alone (zero on the interior nodes), through the same
-    padded table, tail and truncation estimate as every other evaluation.
-    DomainError past _DENSE_CAP unknowns; SolverError when the
-    preconditioner's symbol diagonal - symbol is not positive."""
-    if grid.periodic:
-        raise DomainError("Dirichlet assembly needs a free-space grid")
+@lru_cache(maxsize=16)
+def _interior_plan(kernel: KernelSpec, grid: GridSpec, far: bool) -> _InteriorPlan:
+    """The interior operator's data that does not read the rule's values:
+    the interior nodes, their bounding box, the symbol of the cropped
+    weights and the diagonal (the scheme's, tail mass included, when far;
+    the sum of the weights otherwise).  DomainError past _DENSE_CAP
+    unknowns; SolverError when the preconditioner's symbol diagonal -
+    symbol is not positive."""
     scheme = scheme_for(kernel, grid)
     W = scheme.weights
     inside = grid.interior_mask()
     interior_flat = np.flatnonzero(inside)
-    n_int = interior_flat.size
-    if n_int > _DENSE_CAP:
+    if interior_flat.size > _DENSE_CAP:
         raise DomainError(f"interior operator capped at {_DENSE_CAP} unknowns")
     # the interior's bounding box, and the weights at offsets |k_i| <= L_i - 1:
     # every pair of interior nodes is that close, and a transform of size
@@ -582,13 +640,32 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
     wrapped = np.roll(np.pad(crop, [(0, f - (2 * n - 1)) for f, n in zip(fft_shape, box)]),
                       [1 - n for n in box], axis=tuple(range(grid.dim)))
     symbol = np.fft.rfftn(wrapped).real.copy()  # not a view holding the complex array
-    diagonal = scheme.diagonal() if rule.limit is not None else float(np.sum(W))
+    diagonal = scheme.diagonal() if far else float(np.sum(W))
     if float(np.min(diagonal - symbol)) <= 0.0:  # some weight is negative
         raise SolverError("the circulant preconditioner is not positive definite",
                           condition_estimate=float("inf"))
-    data = _dirichlet_field(grid, rule, interior_flat, np.zeros((n_int, m)))
+    for a in (interior_flat, box_mask, symbol):
+        a.setflags(write=False)
+    return _InteriorPlan(interior_flat, box, box_mask, symbol, fft_shape,
+                         float(np.sum(crop)), diagonal)
+
+
+def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
+                       m: int = 1) -> AssembledOperator:
+    """-L_K on the interior nodes of the grid ball with the given exterior rule
+    supplying all data outside, matrix-free.  The interior nodes, their
+    bounding box with its mask, the real symbol of the weights cropped to
+    the box (which drives both the matvec and the circulant preconditioner)
+    and the diagonal come from the plan of the kernel and grid, built once
+    (see _interior_plan for its errors).  The load is L_K of the exterior
+    data alone (zero on the interior nodes), through the same padded table,
+    tail and truncation estimate as every other evaluation."""
+    if grid.periodic:
+        raise DomainError("Dirichlet assembly needs a free-space grid")
+    plan = _interior_plan(kernel, grid, rule.limit is not None)
+    n_int = plan.interior_flat.size
+    data = _dirichlet_field(grid, rule, plan.interior_flat, np.zeros((n_int, m)))
     load, est = _apply(data, kernel)
-    return AssembledOperator(grid, kernel, rule, diagonal,
-                             load.reshape(-1, m)[interior_flat], interior_flat,
-                             grid.h**grid.dim, est, box, box_mask, symbol,
-                             fft_shape, float(np.sum(crop)))
+    return AssembledOperator(grid, kernel, rule, plan.diagonal,
+                             load.reshape(-1, m)[plan.interior_flat],
+                             grid.h**grid.dim, est, plan)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,6 +9,7 @@ from fracsys import (DomainError, GridSpec, SampledField, apply_LK_field,
                      field_average, field_from_function, make_fractional_kernel,
                      parse_rule, periodic_rule, radial_projection_rule,
                      restrict_rescale, sign_rule, smallest_enclosing_ball, zero_rule)
+from fracsys.reports import canonical_json
 from fracsys.fields import _ball_node_values
 
 
@@ -202,6 +204,29 @@ class TestMappedRule:
         grid = GridSpec(dim=1, h=2 * np.pi / 16, radius=np.pi, periodic=True)
         u = SampledField(grid, np.ones((16, 2)), periodic_rule())
         assert u.component(1).exterior.kind == "periodic"
+
+    def test_map_of_zero_to_nonzero_is_constant(self):
+        # the map takes the value 2 everywhere, so the rule is no longer "zero"
+        rule = zero_rule().mapped(lambda v: v + 2.0, 1)
+        assert rule.kind == "constant"
+        assert rule.vector == (2.0,)
+        assert np.array_equal(rule.values(np.array([[3.0], [-7.0]]), 1), [[2.0], [2.0]])
+        assert np.array_equal(rule.far_limits(1)(np.array([1.0])), [2.0])
+        g = _grid(h=1 / 8)
+        field = SampledField(g, np.full((*g.shape, 1), 2.0), rule)
+        assert json.loads(canonical_json(field))["exterior"] == "constant"
+
+    def test_maps_to_zero_keep_their_kind(self):
+        assert zero_rule().mapped(lambda v: v**2, 1).kind == "zero"
+        assert zero_rule().mapped(lambda v: 3.0 * v, 2).vector is None
+        g = _grid(h=1 / 8)
+        u = SampledField(g, np.zeros((*g.shape, 2)), zero_rule())
+        assert u.component(1).exterior.kind == "zero"
+
+    def test_map_of_constant_stays_constant(self):
+        assert constant_rule([1.0]).mapped(lambda v: v - 1.0, 1).kind == "constant"
+        assert constant_field(_grid(h=1 / 8), [1.0, 0.0]).component(1).exterior.kind == "constant"
+        assert constant_rule([-3.0]).mapped(lambda v: v**2, 1).vector == (9.0,)
 
 
 class TestFieldAverage:

@@ -691,3 +691,63 @@ class TestConfigValuesRefused:
         code, err = self.run(tmp_path, capsys, "solve-linear", kernel={"s": value})
         assert code == 2
         assert "kernel.s must be" in err
+
+    # each integer key with a command that reads it, and the config sections
+    # (beyond the default 1-d grid) that command needs
+    INTEGER_KEYS = {
+        "grid.dim": ("solve-linear", {}),
+        "solver.steps": ("solve-harmonic", {}),
+        "solver.levels": ("probe-decay", {"bounds": {"a": 1.0, "a_star": 0.0, "M": 1.0}}),
+        "solver.wavenumber": ("limit", {"s_values": [0.9],
+                                        "grid": {"dim": 1, "h": 2 * np.pi / 64,
+                                                 "radius": np.pi, "periodic": True}}),
+        "schema_version": ("solve-linear", {}),
+        "seed": ("verify", {}),
+    }
+
+    def run_integer(self, tmp_path, capsys, key, value):
+        command, sections = self.INTEGER_KEYS[key]
+        sections = json.loads(json.dumps(sections))
+        if "." in key:
+            section, name = key.split(".")
+            base = {"dim": 1, "h": 1 / 16, "radius": 1.0} if section == "grid" else {}
+            sections[section] = {**sections.get(section, base), name: value}
+        else:
+            sections[key] = value
+        return self.run(tmp_path, capsys, command, **sections)
+
+    @pytest.mark.parametrize("value", [1.9, 1.5, True, False], ids=["1.9", "1.5", "true", "false"])
+    @pytest.mark.parametrize("key", list(INTEGER_KEYS))
+    def test_integer_key_refuses_non_integer(self, tmp_path, capsys, key, value):
+        # int() would truncate 1.9 to 1 and read true as 1
+        code, err = self.run_integer(tmp_path, capsys, key, value)
+        assert code == 2
+        assert f"{key} must be an integer, got {value!r}" in err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("key", list(INTEGER_KEYS))
+    def test_integral_float_reads_as_integer(self, tmp_path, capsys, key):
+        value = {"grid.dim": 1, "solver.steps": 3, "solver.levels": 2,
+                 "solver.wavenumber": 2, "schema_version": 1, "seed": 5}[key]
+        runs = []
+        for tag, v in (("float", float(value)), ("int", value)):
+            code, _ = self.run_integer(tmp_path / tag, capsys, key, v)
+            assert code == 0
+            runs.append(sorted((p.name, p.read_bytes())
+                               for p in (tmp_path / tag / "out").iterdir()))
+        assert runs[0] == runs[1]
+
+    def test_negative_seed_is_refused(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, "verify", seed=-1)
+        assert code == 2
+        assert "seed must be nonnegative" in err
+
+    @pytest.mark.parametrize("key", ["grid.h", "grid.radius", "solver.rhs", "kernel.s"])
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, key):
+        # float(True) is 1.0: "radius": true would run on the unit ball
+        section, name = key.split(".")
+        base = {"dim": 1, "h": 1 / 16, "radius": 1.0} if section == "grid" else {}
+        code, err = self.run(tmp_path, capsys, "solve-linear", **{section: {**base, name: True}})
+        assert code == 2
+        assert f"{key} must be numeric, got True" in err
+        assert not (tmp_path / "out" / "field.csv").exists()
