@@ -37,21 +37,16 @@ The Dirichlet load of assemble_dirichlet is L_K of the exterior data alone
 same table, correlation and tail as any other field, so the load and its
 truncation estimate read the weights and the rule exactly as L_K does.
 
-Data that depends only on the grid, or only on the kernel and the grid, is
-built once and shared (plan once, execute many times, as in FFTW; Frigo &
-Johnson 2005): the coordinates of the padded nodes beyond the stored block
-and their mask, per grid and padding width (_padding), and the interior
-operator's nodes, box, symbol and diagonal, per kernel, grid and choice of
-far limit (_interior_plan).  Their arrays are read-only, so no caller can
-change what another reads.  A table that holds only zeros (the load of zero
+The coordinates of the padded nodes beyond the stored block, and their
+mask, depend on the grid and the padding width alone; _padding builds them
+once per pair and keeps the last few, read-only, so no caller can change
+what another reads.  A table that holds only zeros (the load of zero
 exterior data) is not correlated: its correlation is exactly zero.
 
 Evaluations are pure functions of immutable inputs; applying them at many
-points concurrently needs no shared mutable state.  Two pieces are mutable:
+points concurrently needs no shared mutable state.  The one mutable piece is
 AssembledOperator.solve_iterations, the log of conjugate-gradient counts from
-which solve_linear_dirichlet reports its solve's iterations, and the plan's
-memo of inverse_norm_bound per diagonal, which only ever gains the value
-the bound would compute.
+which solve_linear_dirichlet reports its solve's iterations.
 """
 
 from __future__ import annotations
@@ -138,12 +133,15 @@ def _window(E: np.ndarray, W: np.ndarray, idx: tuple, periodic: bool):
 # -- value tables -------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def _padding(grid: GridSpec, M: int):
     """The nodes of the grid padded by M nodes per side that lie beyond the
     stored block: their coordinates (k, dim), and the mask marking them in
     the padded shape.  Both depend on the grid alone, so they are built once
-    per grid and width, and are read-only."""
+    per grid and width, and are read-only.  An entry holds dim * 8 + 1
+    bytes per padded node (about 2.3 MB for the 385^2 padded nodes of a
+    2-d grid at h = 1/32), and only the last four are kept: fracsys
+    verify, the command that reads the most, pads three grids."""
     ax = grid.axis()
     full = np.concatenate([ax[0] + grid.h * np.arange(-M, 0), ax,
                            ax[-1] + grid.h * np.arange(1, M + 1)])
@@ -435,25 +433,6 @@ def _cg(matvec, precondition, b: np.ndarray, condition_estimate: float):
 
 
 @dataclass(frozen=True, eq=False)
-class _InteriorPlan:
-    """The part of an interior operator that depends on the kernel and the
-    grid alone, and on whether the exterior rule has a far limit (which sets
-    the diagonal); see AssembledOperator for the fields.  Built once per
-    (kernel, grid, far limit or not) by _interior_plan; its arrays are
-    read-only.  bounds memoizes inverse_norm_bound per diagonal: the bound
-    reads nothing but these arrays and the diagonal."""
-
-    interior_flat: np.ndarray
-    box: tuple
-    box_mask: np.ndarray
-    symbol: np.ndarray
-    fft_shape: tuple
-    offdiag_sum: float
-    diagonal: float
-    bounds: dict = dataclasses.field(default_factory=dict, repr=False)
-
-
-@dataclass(frozen=True, eq=False)
 class AssembledOperator:
     """Matrix-free interior form of -L_K with exterior data folded into a load:
 
@@ -478,34 +457,28 @@ class AssembledOperator:
     every row's off-diagonal sum and so gives the Gershgorin
     condition_estimate.
 
-    interior_flat indexes the interior nodes in the flattened grid.  It, box,
-    box_mask, symbol, fft_shape and offdiag_sum are read from plan, which
-    every operator of one kernel and grid (and one choice of far limit)
-    shares; the arrays are read-only.  diagonal, the load and its
-    truncation_estimate belong to the operator.  rule is the exterior data
-    folded into load; hvol is the node volume, used by the quadratic energy
-    form.  Every interior solve goes through solve (preconditioned conjugate
-    gradients; solve_iterations logs each one's iteration count), and field
-    turns interior values into a full field.  The dense matrix A is
-    gathered only on request, as the test oracle."""
+    interior_flat indexes the interior nodes in the flattened grid; rule is
+    the exterior data folded into load; hvol is the node volume, used by the
+    quadratic energy form.  Every interior solve goes through solve
+    (preconditioned conjugate gradients; solve_iterations logs each one's
+    iteration count), and field turns interior values into a full field.
+    The dense matrix A is gathered only on request, as the test oracle."""
 
     grid: GridSpec
     kernel: KernelSpec
     rule: ExteriorRule
     diagonal: float
     load: np.ndarray
+    interior_flat: np.ndarray
     hvol: float
     truncation_estimate: float
-    plan: _InteriorPlan = dataclasses.field(repr=False)
+    box: tuple
+    box_mask: np.ndarray
+    symbol: np.ndarray
+    fft_shape: tuple
+    offdiag_sum: float
     solve_iterations: list = dataclasses.field(default_factory=list, init=False,
                                                repr=False)
-
-    interior_flat = property(lambda self: self.plan.interior_flat)
-    box = property(lambda self: self.plan.box)
-    box_mask = property(lambda self: self.plan.box_mask)
-    symbol = property(lambda self: self.plan.symbol)
-    fft_shape = property(lambda self: self.plan.fft_shape)
-    offdiag_sum = property(lambda self: self.plan.offdiag_sum)
 
     @property
     def A(self) -> np.ndarray:
@@ -568,17 +541,11 @@ class AssembledOperator:
         ||A^(-1)||_inf = max(A^(-1) 1).  With v from a PCG solve of A v = 1
         and rho = ||1 - A v||_inf, A^(-1) 1 = v + A^(-1)(1 - A v) gives
         ||A^(-1)||_inf <= max(v) / (1 - rho); inf when rho >= 1.  Calls
-        matvec directly, never solve.  The bound reads only the plan and the
-        diagonal, so it is computed once per plan and diagonal and memoized
-        in plan.bounds."""
-        bounds = self.plan.bounds
-        if self.diagonal not in bounds:
-            ones = np.ones(self.interior_flat.size)
-            v, _ = _cg(self.matvec, self.precondition, ones, self.condition_estimate)
-            rho = float(np.max(np.abs(ones - self.matvec(v))))
-            bounds[self.diagonal] = (float(np.max(v)) / (1.0 - rho) if rho < 1.0
-                                     else float("inf"))
-        return bounds[self.diagonal]
+        matvec directly, never solve."""
+        ones = np.ones(self.interior_flat.size)
+        v, _ = _cg(self.matvec, self.precondition, ones, self.condition_estimate)
+        rho = float(np.max(np.abs(ones - self.matvec(v))))
+        return float(np.max(v)) / (1.0 - rho) if rho < 1.0 else float("inf")
 
     def field(self, u_int: np.ndarray, bound=None) -> SampledField:
         """The field with values u_int (n_interior, m) on the interior nodes
@@ -611,19 +578,26 @@ def _dirichlet_field(grid: GridSpec, rule: ExteriorRule, interior_flat: np.ndarr
     return SampledField(grid, vals.reshape(*grid.shape, m), rule, bound)
 
 
-@lru_cache(maxsize=16)
-def _interior_plan(kernel: KernelSpec, grid: GridSpec, far: bool) -> _InteriorPlan:
-    """The interior operator's data that does not read the rule's values:
-    the interior nodes, their bounding box, the symbol of the cropped
-    weights and the diagonal (the scheme's, tail mass included, when far;
-    the sum of the weights otherwise).  DomainError past _DENSE_CAP
-    unknowns; SolverError when the preconditioner's symbol diagonal -
-    symbol is not positive."""
+def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
+                       m: int = 1) -> AssembledOperator:
+    """-L_K on the interior nodes of the grid ball with the given exterior rule
+    supplying all data outside, matrix-free.  Stores the diagonal (the
+    scheme's, tail mass included, when the rule has a far limit; the sum of
+    the weights otherwise), the interior's bounding box with its mask, and
+    the real symbol of the weights cropped to the box, which drives both
+    the matvec and the circulant preconditioner.  The load is L_K of the
+    exterior data alone (zero on the interior nodes), through the same
+    padded table, tail and truncation estimate as every other evaluation.
+    DomainError past _DENSE_CAP unknowns; SolverError when the
+    preconditioner's symbol diagonal - symbol is not positive."""
+    if grid.periodic:
+        raise DomainError("Dirichlet assembly needs a free-space grid")
     scheme = scheme_for(kernel, grid)
     W = scheme.weights
     inside = grid.interior_mask()
     interior_flat = np.flatnonzero(inside)
-    if interior_flat.size > _DENSE_CAP:
+    n_int = interior_flat.size
+    if n_int > _DENSE_CAP:
         raise DomainError(f"interior operator capped at {_DENSE_CAP} unknowns")
     # the interior's bounding box, and the weights at offsets |k_i| <= L_i - 1:
     # every pair of interior nodes is that close, and a transform of size
@@ -640,32 +614,13 @@ def _interior_plan(kernel: KernelSpec, grid: GridSpec, far: bool) -> _InteriorPl
     wrapped = np.roll(np.pad(crop, [(0, f - (2 * n - 1)) for f, n in zip(fft_shape, box)]),
                       [1 - n for n in box], axis=tuple(range(grid.dim)))
     symbol = np.fft.rfftn(wrapped).real.copy()  # not a view holding the complex array
-    diagonal = scheme.diagonal() if far else float(np.sum(W))
+    diagonal = scheme.diagonal() if rule.limit is not None else float(np.sum(W))
     if float(np.min(diagonal - symbol)) <= 0.0:  # some weight is negative
         raise SolverError("the circulant preconditioner is not positive definite",
                           condition_estimate=float("inf"))
-    for a in (interior_flat, box_mask, symbol):
-        a.setflags(write=False)
-    return _InteriorPlan(interior_flat, box, box_mask, symbol, fft_shape,
-                         float(np.sum(crop)), diagonal)
-
-
-def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
-                       m: int = 1) -> AssembledOperator:
-    """-L_K on the interior nodes of the grid ball with the given exterior rule
-    supplying all data outside, matrix-free.  The interior nodes, their
-    bounding box with its mask, the real symbol of the weights cropped to
-    the box (which drives both the matvec and the circulant preconditioner)
-    and the diagonal come from the plan of the kernel and grid, built once
-    (see _interior_plan for its errors).  The load is L_K of the exterior
-    data alone (zero on the interior nodes), through the same padded table,
-    tail and truncation estimate as every other evaluation."""
-    if grid.periodic:
-        raise DomainError("Dirichlet assembly needs a free-space grid")
-    plan = _interior_plan(kernel, grid, rule.limit is not None)
-    n_int = plan.interior_flat.size
-    data = _dirichlet_field(grid, rule, plan.interior_flat, np.zeros((n_int, m)))
+    data = _dirichlet_field(grid, rule, interior_flat, np.zeros((n_int, m)))
     load, est = _apply(data, kernel)
-    return AssembledOperator(grid, kernel, rule, plan.diagonal,
-                             load.reshape(-1, m)[plan.interior_flat],
-                             grid.h**grid.dim, est, plan)
+    return AssembledOperator(grid, kernel, rule, diagonal,
+                             load.reshape(-1, m)[interior_flat], interior_flat,
+                             grid.h**grid.dim, est, box, box_mask, symbol,
+                             fft_shape, float(np.sum(crop)))
