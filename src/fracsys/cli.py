@@ -62,6 +62,10 @@ def _number(where: str, raw, cast=float):
 
 
 def _matrix(raw) -> np.ndarray:
+    """raw as a float array; a JSON boolean anywhere in it (np.asarray would
+    read it as 1 or 0) raises the ValueError that _number reports."""
+    if any(isinstance(e, bool) for e in np.asarray(raw, dtype=object).ravel()):
+        raise ValueError(raw)
     return np.asarray(raw, dtype=float)
 
 

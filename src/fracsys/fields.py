@@ -103,11 +103,7 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """All node coordinates, shape (*shape, dim)."""
-        ax = self.axis()
-        if self.dim == 1:
-            return ax[:, None]
-        mesh = np.meshgrid(*([ax] * self.dim), indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return np.stack(np.meshgrid(*([self.axis()] * self.dim), indexing="ij"), axis=-1)
 
     def interior_mask(self) -> np.ndarray:
         """Nodes strictly inside the interior ball (Euclidean)."""

@@ -258,11 +258,7 @@ def apply_fractional_laplacian_field(u: SampledField, s: float):
 
 
 def apply_fractional_laplacian(u: SampledField, s: float, x) -> float:
-    if u.m != 1:
-        raise DomainError("pointwise evaluation expects a scalar field")
-    vals, _ = _apply(u, make_fractional_kernel(u.grid.dim, s),
-                     _interior_node_index(u, x))
-    return -float(vals[0])
+    return -apply_LK(u, make_fractional_kernel(u.grid.dim, s), x)
 
 
 # -- bilinear form ------------------------------------------------------------
@@ -519,11 +515,13 @@ class AssembledOperator:
         """A @ x for x of shape (n_interior,) or (n_interior, m)."""
         return self.diagonal * x - self._circulant(x, self.symbol)
 
-    def precondition(self, r: np.ndarray) -> np.ndarray:
+    def precondition(self, r: np.ndarray, tau=None, c: float = 0.0) -> np.ndarray:
         """R C^(-1) R^T r: the inverse of the whole-torus circulant
-        diagonal - circ(symbol), through the same embedding and restriction
-        as matvec; symmetric positive definite."""
-        return self._circulant(r, 1.0 / (self.diagonal - self.symbol))
+        C = circ(S), S = diagonal - symbol + c, or of circ(1 + tau S) when tau
+        is given (the flows' implicit steps), through the same embedding and
+        restriction as matvec; symmetric positive definite for c, tau >= 0."""
+        S = self.diagonal - self.symbol + c
+        return self._circulant(r, 1.0 / (S if tau is None else 1.0 + tau * S))
 
     def apply_neg_lk(self, u_int: np.ndarray) -> np.ndarray:
         return self.matvec(u_int) - self.load

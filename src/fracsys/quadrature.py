@@ -154,7 +154,7 @@ class QuadratureScheme:
 
 
 def _near_shell_count(grid: GridSpec) -> int:
-    """Shells integrated against moments: a quarter of the interior radius in
+    """Shells integrated against moments: one fourth of the interior radius in
     free space, an eighth of the period on the torus, between 1 and 6."""
     if grid.periodic:
         q = int(round(grid.period / grid.h)) // 8
@@ -302,18 +302,10 @@ def _plane_cell_weights(kernel, grid, M, q):
     W[c - 1, c] += t11 / (2.0 * h * h)
     W[c, c + 1] += t22 / (2.0 * h * h)
     W[c, c - 1] += t22 / (2.0 * h * h)
-    dropped = 0.0
-    if abs(t12) > 1e-14 * (t11 + t22):
-        # the mixed moment needs a signed diagonal pair; weights must stay
-        # nonnegative for the bilinear form, so drop it when it cannot fit
-        quarter = t12 / (4.0 * h * h)
-        if abs(quarter) <= min(W[c + 1, c + 1], W[c + 1, c - 1]):
-            W[c + 1, c + 1] += quarter
-            W[c - 1, c - 1] += quarter
-            W[c + 1, c - 1] -= quarter
-            W[c - 1, c + 1] -= quarter
-        else:
-            dropped = abs(t12)
+    # the mixed moment would need a signed diagonal pair, but q >= 1 puts the
+    # diagonal neighbours inside the inner box, where the weight is 0: one of
+    # the pair would be negative, so a nonzero t12 is always dropped
+    dropped = abs(t12) if abs(t12) > 1e-14 * (t11 + t22) else 0.0
     W[c, c] = 0.0
     # the ring subcells are averaged in a different order at y and -y; the
     # mean of the two makes the weights exactly even, so A = A^T exactly

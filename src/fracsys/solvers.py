@@ -284,11 +284,10 @@ def gradient_flow_s_harmonic(grid: GridSpec, g: ExteriorRule, s: float,
     """
     def advance(op, u, G, tau):
         P = _tangent(u)
-        shifted = 1.0 / (1.0 + tau * (op.diagonal - op.symbol))
         # the right-hand side is projected twice: the rounding of one
         # projection leaves a normal part that CG cannot reduce once P F is small
         d = _implicit_solve(op, lambda x: P(x + tau * op.matvec(x)),
-                            lambda r: P(op._circulant(P(r), shifted)), P(-tau * G))
+                            lambda r: P(op.precondition(P(r), tau)), P(-tau * G))
         return _project_sphere(u + d)
 
     return _sphere_flow(grid, g, s, m, step_size, steps, tol,
@@ -324,11 +323,9 @@ def ginzburg_landau_solve(cfg: GLConfig, g: ExteriorRule, grid: GridSpec,
         n = u / np.sqrt(mod2)
         c = np.maximum(mod2 - 1.0, 0.0) / eps
         P = _tangent(n)
-        shifted = 1.0 / (1.0 + tau * (op.diagonal - op.symbol))
         # the radial entry of D_u varies little across the nodes: its mean
         # shifts the circulant for the radial part
-        radial = 1.0 / (1.0 + tau * (op.diagonal - op.symbol
-                                     + float(np.mean(c + 2.0 * mod2 / eps))))
+        c_radial = float(np.mean(c + 2.0 * mod2 / eps))
 
         def matvec(x):
             Dx = c * x + (2.0 / eps) * u * np.sum(u * x, axis=-1, keepdims=True)
@@ -336,7 +333,7 @@ def ginzburg_landau_solve(cfg: GLConfig, g: ExteriorRule, grid: GridSpec,
 
         def precondition(r):
             rn = np.sum(n * r, axis=-1, keepdims=True)
-            return P(op._circulant(P(r), shifted)) + n * op._circulant(rn, radial)
+            return P(op.precondition(P(r), tau)) + n * op.precondition(rn, tau, c_radial)
 
         return u + _implicit_solve(op, matvec, precondition, -tau * G)
 

@@ -138,12 +138,19 @@ class LimitReport:
     fitted_rate: float
 
 
-def _fit_rate(s_values, errors) -> float:
-    if len(s_values) < 2:
-        return float("nan")
-    x = np.log(1.0 - np.asarray(s_values, dtype=float))
-    y = np.log(np.maximum(np.asarray(errors, dtype=float), 1e-300))
-    return float(np.polyfit(x, y, 1)[0])
+def _limit(v: SampledField, kernel_for, symbol, s_values) -> LimitReport:
+    """Max-norm deviation of L_K v, K = kernel_for(s), from the multiplier
+    symbol applied to v, per s, and its log-log slope against (1 - s)."""
+    target = _spectral_multiply(v.grid, symbol, np.asarray(v.values)[..., 0])
+    errors = []
+    for s in s_values:
+        op, _ = apply_LK_field(v, kernel_for(s))
+        errors.append(float(np.max(np.abs(op[..., 0] - target))))
+    rate = float("nan")
+    if len(s_values) >= 2:
+        x = np.log(1.0 - np.asarray(s_values, dtype=float))
+        rate = float(np.polyfit(x, np.log(np.maximum(errors, 1e-300)), 1)[0])
+    return LimitReport(tuple(s_values), tuple(errors), rate)
 
 
 def s_limit_isotropic(v: SampledField, s_values) -> LimitReport:
@@ -152,13 +159,8 @@ def s_limit_isotropic(v: SampledField, s_values) -> LimitReport:
     grid term is subdominant."""
     if not v.grid.periodic or v.m != 1:
         raise DomainError("s_limit_isotropic expects a scalar periodic field")
-    lap_exact = _spectral_multiply(v.grid, lambda *k: -sum(kk**2 for kk in k),
-                                   np.asarray(v.values)[..., 0])
-    errors = []
-    for s in s_values:
-        op, _ = apply_fractional_laplacian_field(v, s)
-        errors.append(float(np.max(np.abs(-op[..., 0] - lap_exact))))
-    return LimitReport(tuple(s_values), tuple(errors), _fit_rate(s_values, errors))
+    return _limit(v, lambda s: make_fractional_kernel(v.grid.dim, s),
+                  lambda *k: -sum(kk**2 for kk in k), s_values)
 
 
 def s_limit_anisotropic(v: SampledField, A, s_values) -> LimitReport:
@@ -172,10 +174,4 @@ def s_limit_anisotropic(v: SampledField, A, s_values) -> LimitReport:
     def symbol(k1, k2):
         return -(a[0, 0] * k1**2 + 2.0 * a[0, 1] * k1 * k2 + a[1, 1] * k2**2)
 
-    target = _spectral_multiply(v.grid, symbol, np.asarray(v.values)[..., 0])
-    errors = []
-    for s in s_values:
-        kernel = make_anisotropic_kernel(A, s)
-        op, _ = apply_LK_field(v, kernel)
-        errors.append(float(np.max(np.abs(op[..., 0] - target))))
-    return LimitReport(tuple(s_values), tuple(errors), _fit_rate(s_values, errors))
+    return _limit(v, lambda s: make_anisotropic_kernel(A, s), symbol, s_values)

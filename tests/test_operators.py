@@ -564,6 +564,33 @@ class TestRotatedAnisotropic:
         assert np.max(np.abs(out[..., 0] - target)) / a11 ** 0.95 < 0.01
 
 
+class TestCrossMomentDrop:
+    """The inner box's mixed moment t12 would need a signed pair on the
+    diagonal neighbours (+-1, +-1), which lie inside the box (q >= 1) and so
+    carry weight 0: every rotated kernel drops t12, and no other does."""
+
+    GRIDS = [free_grid(h=1 / 8, dim=2), free_grid(h=1 / 16, dim=2), periodic_grid(64, dim=2)]
+    IDS = ["free-h8", "free-h16", "torus-N64"]
+
+    @pytest.mark.parametrize("s", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    def test_rotated_kernel_drops_cross_moment(self, grid, s):
+        sch = scheme_for(make_anisotropic_kernel(np.array([[1.5, 0.3], [0.2, 0.8]]), s), grid)
+        assert sch.dropped_cross_moment > 0
+        assert np.all(sch.weights >= 0)
+        if not grid.periodic:
+            c = sch.weights.shape[0] // 2
+            for i, j in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                assert sch.weights[c + i, c + j] == 0.0
+
+    @pytest.mark.parametrize("s", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    def test_axis_aligned_kernels_drop_nothing(self, grid, s):
+        for kernel in (make_fractional_kernel(2, s),
+                       make_anisotropic_kernel(np.diag([1.5, 0.8]), s)):
+            assert scheme_for(kernel, grid).dropped_cross_moment == 0
+
+
 class TestCrossPathConsistency:
     def test_free_vs_periodized_on_compact_bump(self):
         # the two weight constructions evaluate the same integral up to the

@@ -751,3 +751,18 @@ class TestConfigValuesRefused:
         assert code == 2
         assert f"{key} must be numeric, got True" in err
         assert not (tmp_path / "out" / "field.csv").exists()
+
+    @pytest.mark.parametrize("matrix", [[[True, 0.0], [0.0, 2.0]], [[1.5, 0.3], [0.2, False]]],
+                             ids=["true", "false"])
+    @pytest.mark.parametrize("command, grid", [
+        ("limit", {"dim": 2, "h": 2 * np.pi / 16, "radius": np.pi, "periodic": True}),
+        ("solve-linear", {"dim": 2, "h": 1 / 8, "radius": 1.0})], ids=["limit", "solve-linear"])
+    def test_boolean_inside_matrix_is_not_a_number(self, tmp_path, capsys, command, grid,
+                                                   matrix):
+        # np.asarray(..., dtype=float) would read true as 1 and false as 0
+        kernel = {"kind": "anisotropic", "s": 0.5, "matrix": matrix}
+        extra = {"s_values": [0.9]} if command == "limit" else {}
+        code, err = self.run(tmp_path, capsys, command, grid=grid, kernel=kernel, **extra)
+        assert code == 2
+        assert "kernel.matrix must be numeric" in err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

@@ -325,6 +325,42 @@ class TestFlowMatvecs:
         assert 0 < len(calls) <= rep.iterations + 1
 
 
+def circulant_oracle(op, x, multiplier):
+    """The circulant with Fourier multiplier on op.fft_shape applied to x
+    placed in op's box, by a full inverse transform cropped to the box."""
+    X = x.reshape(x.shape[0], -1).T
+    axes = tuple(range(1, len(op.box) + 1))
+    f = np.zeros((X.shape[0], *op.box))
+    f[:, op.box_mask] = X
+    g = np.fft.irfftn(np.fft.rfftn(f, s=op.fft_shape, axes=axes) * multiplier,
+                      s=op.fft_shape, axes=axes)
+    g = g[(slice(None),) + tuple(slice(0, n) for n in op.box)][:, op.box_mask]
+    return g.T.reshape(x.shape)
+
+
+class TestShiftedPreconditioner:
+    """precondition(x, tau, c) applies circ(1/(1 + tau (diagonal - symbol + c))),
+    the multipliers the flows' implicit steps use, bit for bit; without tau it
+    is circ(1/(diagonal - symbol))."""
+
+    @pytest.mark.parametrize("dim, m", [(1, 2), (2, 1)])
+    def test_matches_multipliers(self, dim, m):
+        grid = grid_b1(h=1 / 32) if dim == 1 else GridSpec(dim=2, h=1 / 8, radius=1.0)
+        op = assemble_dirichlet(make_fractional_kernel(dim, 0.6), grid, zero_rule(), m=m)
+        x = np.random.default_rng(7).normal(size=(op.interior_flat.size, m))
+        if m == 1:
+            x = x[:, 0]
+        S = op.diagonal - op.symbol
+        assert np.array_equal(op.precondition(x), circulant_oracle(op, x, 1.0 / S))
+        for tau in (1e-3, 0.25):
+            assert np.array_equal(op.precondition(x, tau),
+                                  circulant_oracle(op, x, 1.0 / (1.0 + tau * S)))
+            for c in (0.0, 3.7, 250.0):
+                assert np.array_equal(
+                    op.precondition(x, tau, c),
+                    circulant_oracle(op, x, 1.0 / (1.0 + tau * (op.diagonal - op.symbol + c))))
+
+
 class TestOneSolve:
     """Every dense interior solve goes through AssembledOperator.solve."""
 
