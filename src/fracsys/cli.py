@@ -61,6 +61,14 @@ def _number(where: str, raw, cast=float):
     return value
 
 
+def _order(where: str, raw) -> float:
+    """An order parameter s read by _number; ConfigError outside (0, 1)."""
+    s = _number(where, raw)
+    if not 0.0 < s < 1.0:
+        raise ConfigError(f"order parameter out of range: {where} = {s!r}")
+    return s
+
+
 def _matrix(raw) -> np.ndarray:
     """raw as a float array; a JSON boolean anywhere in it (np.asarray would
     read it as 1 or 0) raises the ValueError that _number reports."""
@@ -78,6 +86,11 @@ SECTION_KEYS = {
     "bounds": {f.name for f in fields(GrowthBounds)},
     "solver": {"rhs", "steps", "tol", "epsilon", "amplitude", "levels", "wavenumber"},
 }
+
+# the JSON type of every top-level key that is not a number
+_SHAPES = {**{sec: dict for sec in SECTION_KEYS}, "s_values": list,
+           **{k: str for k in ("command", "exterior", "field_profile", "output_dir")}}
+_SHAPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 # keys a command never reads; set in its config they would be silently
 # ignored, so they are refused like unknown keys.  The flows take their
@@ -113,6 +126,11 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        for key, kind in _SHAPES.items():
+            if key in raw and not isinstance(raw[key], kind):
+                raise ConfigError(f"{key} must be {_SHAPE_NAMES[kind]}, got {raw[key]!r}")
         known = {f for f in ExperimentConfig.__dataclass_fields__}
         unknown = set(raw) - known
         unknown |= {f"{sec}.{k}" for sec, keys in SECTION_KEYS.items()
@@ -143,9 +161,7 @@ class ExperimentConfig:
 
     def build_kernel(self, dim) -> KernelSpec:
         k = dict(self.kernel)
-        s = _number("kernel.s", k.get("s", 0.5))
-        if not 0.0 < s < 1.0:
-            raise ConfigError("order parameter out of range")
+        s = _order("kernel.s", k.get("s", 0.5))
         kind = k.get("kind", "fractional")
         if kind == "fractional":
             spec = make_fractional_kernel(dim, s)
@@ -228,10 +244,7 @@ def _cmd_solve_linear(cfg: ExperimentConfig, out: Path) -> int:
 
 def _orders(cfg: ExperimentConfig, default: tuple) -> tuple:
     """The config's s_values (or the default) as floats in (0, 1)."""
-    s_values = tuple(_number("s_values", s) for s in cfg.s_values or default)
-    if not all(0.0 < s < 1.0 for s in s_values):
-        raise ConfigError("order parameter out of range")
-    return s_values
+    return tuple(_order("s_values", s) for s in cfg.s_values or default)
 
 
 def _require_fractional(cfg: ExperimentConfig):
@@ -273,9 +286,8 @@ def _cmd_probe_decay(cfg: ExperimentConfig, out: Path) -> int:
     fld = _named_profile(name, grid)
     bounds = cfg.build_bounds()
     levels = _number("solver.levels", cfg.solver.get("levels", 5), int)
-    s = cfg.kernel.get("s")
-    ledger = dyadic_ledger(fld, np.zeros(grid.dim), levels, bounds,
-                           s=None if s is None else _number("kernel.s", s))
+    s = None if "s" not in cfg.kernel else _order("kernel.s", cfg.kernel["s"])
+    ledger = dyadic_ledger(fld, np.zeros(grid.dim), levels, bounds, s=s)
     emit_report(ledger, out / "decay_ledger.json")
     return 0
 

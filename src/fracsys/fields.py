@@ -106,12 +106,11 @@ class GridSpec:
         return np.stack(np.meshgrid(*([self.axis()] * self.dim), indexing="ij"), axis=-1)
 
     def interior_mask(self) -> np.ndarray:
-        """Nodes strictly inside the interior ball (Euclidean)."""
-        pts = self.points()
-        r = np.sqrt(np.sum(pts * pts, axis=-1))
+        """Nodes strictly inside the interior ball (Euclidean); all on the torus."""
         if self.periodic:
             return np.ones(self.shape, dtype=bool)
-        return r < self.radius - 1e-12
+        pts = self.points()
+        return np.sqrt(np.sum(pts * pts, axis=-1)) < self.radius - 1e-12
 
     def index_of(self, x) -> tuple:
         """Grid index of the node at coordinate x; DomainError off-node or
@@ -247,7 +246,10 @@ def parse_rule(name: str) -> ExteriorRule:
     if name.startswith("constant:"):
         import json
 
-        return constant_rule(json.loads(name.split(":", 1)[1]))
+        try:
+            return constant_rule(json.loads(name.split(":", 1)[1]))
+        except (ValueError, TypeError):  # not JSON, or not numbers
+            raise DomainError(f"constant rule needs a list of numbers: {name!r}") from None
     raise DomainError(f"unknown exterior rule name: {name!r}")
 
 
@@ -372,9 +374,7 @@ def field_average(u: SampledField, ball) -> np.ndarray:
 
     Uniform node weights: exact for constants, O(h) accurate in general.
     """
-    center, radius = ball
-    vals = _ball_node_values(u, center, radius)
-    return vals.mean(axis=0)
+    return _ball_node_values(u, *ball).mean(axis=0)
 
 
 def restrict_rescale(u: SampledField, mu: float, t: float) -> SampledField:

@@ -203,9 +203,7 @@ def _far_magnitude(u: SampledField, t: _Table) -> float:
 
 def _interior_node_index(u: SampledField, x):
     idx = u.grid.index_of(x)
-    pts = u.grid.points()
-    r = float(np.linalg.norm(pts[idx]))
-    if not u.grid.periodic and r >= u.grid.radius - 1e-12:
+    if not u.grid.interior_mask()[idx]:
         raise DomainError(f"evaluation point {x} is not an interior node")
     return idx
 
@@ -453,16 +451,16 @@ class AssembledOperator:
     every row's off-diagonal sum and so gives the Gershgorin
     condition_estimate.
 
-    interior_flat indexes the interior nodes in the flattened grid; rule is
-    the exterior data folded into load; hvol is the node volume, used by the
-    quadratic energy form.  Every interior solve goes through solve
-    (preconditioned conjugate gradients; solve_iterations logs each one's
-    iteration count), and field turns interior values into a full field.
-    The dense matrix A is gathered only on request, as the test oracle."""
+    interior_flat indexes the interior nodes in the flattened grid; data, the
+    field folded into load, is 0 on them and the rule, evaluated once, on
+    every other node; hvol is the node volume, for the quadratic energy.
+    Every interior solve goes through solve (preconditioned conjugate
+    gradients; solve_iterations logs each one's iteration count); field
+    writes interior values into data.  A is gathered only as the oracle."""
 
     grid: GridSpec
     kernel: KernelSpec
-    rule: ExteriorRule
+    data: SampledField
     diagonal: float
     load: np.ndarray
     interior_flat: np.ndarray
@@ -546,9 +544,15 @@ class AssembledOperator:
         return float(np.max(v)) / (1.0 - rho) if rho < 1.0 else float("inf")
 
     def field(self, u_int: np.ndarray, bound=None) -> SampledField:
-        """The field with values u_int (n_interior, m) on the interior nodes
-        and the exterior rule everywhere else."""
-        return _dirichlet_field(self.grid, self.rule, self.interior_flat, u_int, bound)
+        """u_int (n_interior, m) on the interior nodes, the assembly's exterior
+        data on every other node; DomainError for any other shape."""
+        vals = self.data.values.copy()
+        shape = (self.interior_flat.size, vals.shape[-1])
+        if np.shape(u_int) != shape:
+            raise DomainError(f"interior values of shape {np.shape(u_int)}; "
+                              f"the operator takes {shape}")
+        vals.reshape(-1, shape[1])[self.interior_flat] = u_int
+        return SampledField(self.grid, vals, self.data.exterior, bound)
 
     def energy_quadratic(self, u_int: np.ndarray) -> float:
         """(1/2) <u, -L u> h^n up to a u-independent constant; tracks the
@@ -560,20 +564,6 @@ class AssembledOperator:
 # interior solves stop here until a benchmark workload covers larger grids;
 # the dense oracle A is checked against up to this size
 _DENSE_CAP = 6000
-
-
-def _dirichlet_field(grid: GridSpec, rule: ExteriorRule, interior_flat: np.ndarray,
-                     u_int: np.ndarray, bound=None) -> SampledField:
-    """u_int (n_interior, m) on the interior nodes, the rule on every other
-    stored node."""
-    m = u_int.shape[1]
-    pts = grid.points().reshape(-1, grid.dim)
-    vals = np.zeros((pts.shape[0], m))
-    outside = np.ones(pts.shape[0], dtype=bool)
-    outside[interior_flat] = False
-    vals[outside] = _rule_values(rule, pts[outside], m)
-    vals[interior_flat] = u_int
-    return SampledField(grid, vals.reshape(*grid.shape, m), rule, bound)
 
 
 def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
@@ -616,9 +606,11 @@ def assemble_dirichlet(kernel: KernelSpec, grid: GridSpec, rule: ExteriorRule,
     if float(np.min(diagonal - symbol)) <= 0.0:  # some weight is negative
         raise SolverError("the circulant preconditioner is not positive definite",
                           condition_estimate=float("inf"))
-    data = _dirichlet_field(grid, rule, interior_flat, np.zeros((n_int, m)))
+    vals = np.zeros((*grid.shape, m))
+    vals[~inside] = _rule_values(rule, grid.points()[~inside], m)
+    data = SampledField(grid, vals, rule)
     load, est = _apply(data, kernel)
-    return AssembledOperator(grid, kernel, rule, diagonal,
+    return AssembledOperator(grid, kernel, data, diagonal,
                              load.reshape(-1, m)[interior_flat], interior_flat,
                              grid.h**grid.dim, est, box, box_mask, symbol,
                              fft_shape, float(np.sum(crop)))

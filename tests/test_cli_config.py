@@ -1,0 +1,134 @@
+"""Configs the runner refuses, and the command paths no other test runs.
+
+A config whose JSON has the wrong shape (an array for the config, a number
+for a section, a string where a list belongs), a malformed constant rule
+and an order parameter outside (0, 1) end in exit status 2 with a message
+naming the key, never in a traceback.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from fracsys import DomainError, GridSpec, read_field_fsf1, write_field_fsf1, zero_rule
+from fracsys.cli import main
+from fracsys.fields import constant_field
+
+GRID_1D = {"dim": 1, "h": 1 / 16, "radius": 1.0}
+TORUS_1D = {"dim": 1, "h": 2 * np.pi / 64, "radius": np.pi, "periodic": True}
+TORUS_2D = {"dim": 2, "h": 2 * np.pi / 16, "radius": np.pi, "periodic": True}
+BOUNDS = {"a": 1.0, "a_star": 0.0, "M": 1.0}
+
+
+def run(tmp_path, capsys, argv, cfg, text=None):
+    """main(argv + --config) on cfg written as JSON (or on the raw text);
+    returns (exit status, stderr)."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg) if text is None else text)
+    code = main([*argv, "--config", str(p)])
+    return code, capsys.readouterr().err
+
+
+def with_out(tmp_path, cfg):
+    return {"output_dir": str(tmp_path / "out"), **cfg} if isinstance(cfg, dict) else cfg
+
+
+SHAPE_CASES = {
+    "array": ([1, 2], "config must be a JSON object, got list"),
+    "kernel-number": ({"command": "solve-linear", "grid": GRID_1D, "kernel": 5},
+                      "kernel must be an object, got 5"),
+    "solver-number": ({"command": "solve-linear", "grid": GRID_1D, "solver": 5},
+                      "solver must be an object, got 5"),
+    "s_values-number": ({"command": "limit", "grid": TORUS_1D, "s_values": 0.5},
+                        "s_values must be a list, got 0.5"),
+    "exterior-number": ({"command": "solve-linear", "grid": GRID_1D, "exterior": 5},
+                        "exterior must be a string, got 5"),
+    "constant-not-json": ({"command": "solve-linear", "grid": GRID_1D,
+                           "exterior": "constant:[1,"},
+                          "constant rule needs a list of numbers: 'constant:[1,'"),
+    "constant-not-numbers": ({"command": "solve-linear", "grid": GRID_1D,
+                              "exterior": 'constant:["a"]'},
+                             "constant rule needs a list of numbers"),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_CASES))
+def test_wrong_json_shape_exits_two(tmp_path, capsys, case):
+    cfg, message = SHAPE_CASES[case]
+    code, err = run(tmp_path, capsys, ["solve-linear"] if case == "array" else [],
+                    with_out(tmp_path, cfg))
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "out" / "field.csv").exists()
+
+
+def test_output_dir_not_a_string_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, err = run(tmp_path, capsys, ["audit"], {"bounds": BOUNDS, "output_dir": 5})
+    assert code == 2
+    assert "output_dir must be a string, got 5" in err
+    assert not (tmp_path / "5").exists()
+
+
+@pytest.mark.parametrize("name", ["constant:[1,", 'constant:["a"]', 'constant:{"a": 1}'])
+def test_field_file_with_malformed_constant_rule(tmp_path, name):
+    grid = GridSpec(dim=1, h=1 / 8, radius=1.0)
+    path = write_field_fsf1(tmp_path / "u.fsf1", constant_field(grid, [0.5], zero_rule()))
+    with pytest.raises(DomainError, match="constant rule needs a list of numbers"):
+        read_field_fsf1(path, name)
+    assert np.all(read_field_fsf1(path, "constant:[0.5]").values == 0.5)
+
+
+def test_probe_decay_refuses_an_order_out_of_range(tmp_path, capsys):
+    cfg = {"command": "probe-decay", "grid": {"dim": 1, "h": 1 / 64, "radius": 1.5},
+           "bounds": BOUNDS, "kernel": {"s": 1.5}, "solver": {"levels": 3}}
+    code, err = run(tmp_path, capsys, [], with_out(tmp_path, cfg))
+    assert code == 2
+    assert "order parameter out of range: kernel.s = 1.5" in err
+    assert not (tmp_path / "out" / "decay_ledger.json").exists()
+
+
+DECAY = {"command": "probe-decay", "grid": {"dim": 1, "h": 1 / 64, "radius": 1.5},
+         "bounds": BOUNDS, "solver": {"levels": 3}}
+
+# (config, exit status, message on stderr or the ledger's fitted decay rate:
+# |x|^(1/2) and x halve their oscillation by 2^(-1/2) and 2^(-1) per level)
+PATH_CASES = {
+    "invalid-json": (None, 2, "config is not valid JSON"),
+    "order-out-of-range": ({"command": "solve-linear", "grid": GRID_1D, "kernel": {"s": 1.0}},
+                           2, "order parameter out of range: kernel.s = 1.0"),
+    "anisotropic-no-matrix": ({"command": "solve-linear", "grid": GRID_1D,
+                               "kernel": {"kind": "anisotropic"}},
+                              2, "anisotropic kernel needs a matrix"),
+    "unknown-kernel-kind": ({"command": "solve-linear", "grid": GRID_1D,
+                             "kernel": {"kind": "gaussian"}},
+                            2, "unsupported kernel kind in config: 'gaussian'"),
+    "bounds-missing-keys": ({"command": "audit", "bounds": {"a": 1.0}},
+                            2, "bounds section missing keys: ['M', 'a_star']"),
+    "profile-sqrt_abs": ({**DECAY, "field_profile": "sqrt_abs"}, 0, 0.5),
+    "profile-linear": ({**DECAY, "field_profile": "linear"}, 0, 1.0),
+    "profile-unknown": ({**DECAY, "field_profile": "cubic"},
+                        2, "unknown field profile: 'cubic'"),
+    "limit-free-grid": ({"command": "limit", "grid": {**TORUS_1D, "periodic": False},
+                         "s_values": [0.9]}, 2, "limit command needs a periodic grid"),
+    "limit-2d-no-matrix": ({"command": "limit", "grid": TORUS_2D, "s_values": [0.9]},
+                           2, "anisotropic limit needs kernel.matrix"),
+}
+
+
+@pytest.mark.parametrize("case", list(PATH_CASES))
+def test_refusals_and_profiles(tmp_path, capsys, case):
+    cfg, status, expect = PATH_CASES[case]
+    text = '{"command": "audit", ' if cfg is None else None
+    code, err = run(tmp_path, capsys, ["audit"] if cfg is None else [],
+                    with_out(tmp_path, cfg or {}), text=text)
+    assert code == status
+    if status == 0:
+        ledger = json.loads((tmp_path / "out" / "decay_ledger.json").read_text())
+        assert ledger["levels"] == [0, 1, 2, 3]
+        assert ledger["alpha_fit"] == pytest.approx(expect, abs=1e-12)
+        assert (tmp_path / "out" / "decay_ledger.csv").exists()
+    else:
+        assert expect in err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
