@@ -109,8 +109,10 @@ class GridSpec:
         """Nodes strictly inside the interior ball (Euclidean); all on the torus."""
         if self.periodic:
             return np.ones(self.shape, dtype=bool)
-        pts = self.points()
-        return np.sqrt(np.sum(pts * pts, axis=-1)) < self.radius - 1e-12
+        # x*x + y*y as in np.sum over points(), without building the points
+        r2 = sum(x * x for x in np.meshgrid(*([self.axis()] * self.dim), indexing="ij",
+                                            sparse=True))
+        return np.sqrt(r2) < self.radius - 1e-12
 
     def index_of(self, x) -> tuple:
         """Grid index of the node at coordinate x; DomainError off-node or
@@ -247,9 +249,15 @@ def parse_rule(name: str) -> ExteriorRule:
         import json
 
         try:
-            return constant_rule(json.loads(name.split(":", 1)[1]))
-        except (ValueError, TypeError):  # not JSON, or not numbers
+            value = json.loads(name.split(":", 1)[1])
+            vector = np.asarray(value, dtype=float)
+            # a JSON boolean would read as 1 or 0, and JSON admits NaN and Infinity
+            if (any(isinstance(e, bool) for e in np.asarray(value, dtype=object).ravel())
+                    or not np.all(np.isfinite(vector))):
+                raise ValueError(value)
+        except (ValueError, TypeError):  # not JSON, or not finite numbers
             raise DomainError(f"constant rule needs a list of numbers: {name!r}") from None
+        return constant_rule(vector)
     raise DomainError(f"unknown exterior rule name: {name!r}")
 
 

@@ -122,31 +122,30 @@ class KernelSpec:
 
     # -- evaluation ---------------------------------------------------------
 
+    def at_norm2(self, r2) -> np.ndarray:
+        """K at points y with |A^{-1} y|^2 = r2 (A = I without a matrix):
+        the profile at sqrt(r2) for the custom kind, c_{n,s} / (det A *
+        r2^((n+2s)/2)) for the power-law kinds."""
+        r2 = np.asarray(r2, dtype=float)
+        if self.kind == "custom":
+            return np.asarray(self.profile(np.sqrt(r2)), dtype=float)
+        det = 1.0 if self.A is None else abs(float(np.linalg.det(self.A)))
+        return self.c_ns / det * r2 ** (-0.5 * self.singularity_order)
+
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """Evaluate K at points y (shape (..., dim) or (...,) when dim=1).
 
-        Radial kinds are evaluated through |y| only, so K(y) == K(-y) holds
-        bit for bit.  The anisotropic kind is even because |A^{-1}(-z)| =
-        |A^{-1}z|.
+        Every kind is evaluated through at_norm2 of |A^{-1} y|^2 only, so
+        K(y) == K(-y) holds bit for bit (A^{-1}(-y) = -A^{-1}y exactly).
         """
         y = np.asarray(y, dtype=float)
-        if self.dim == 1:
-            r = np.abs(y)
-        else:
-            r = np.sqrt(np.sum(y * y, axis=-1))
-        if np.any(r == 0.0):
+        if self.A is not None:
+            y = (y / self.A[0, 0] if self.dim == 1
+                 else np.tensordot(y, np.linalg.inv(self.A).T, axes=([-1], [0])))
+        r2 = y * y if self.dim == 1 else np.sum(y * y, axis=-1)
+        if np.any(r2 == 0.0):
             raise DomainError("kernel evaluated at the origin")
-        if self.kind == "fractional":
-            return self.c_ns * r ** (-self.singularity_order)
-        if self.kind == "custom":
-            return np.asarray(self.profile(r), dtype=float)
-        A = self.A
-        if self.dim == 1:
-            rz = r / abs(A[0, 0])
-        else:
-            z = np.tensordot(y, np.linalg.inv(A).T, axes=([-1], [0]))
-            rz = np.sqrt(np.sum(z * z, axis=-1))
-        return self.c_ns / (abs(np.linalg.det(A)) * rz ** self.singularity_order)
+        return self.at_norm2(r2)
 
     def is_power_law(self) -> bool:
         return self.kind in ("fractional", "anisotropic")

@@ -26,12 +26,18 @@ every shell, moment and tail integral below goes through them:
   otherwise reported as an error estimate proportional to Lam * osc * R^(-2s);
 * periodic line: image shells are folded in exactly (explicit images plus an
   integral remainder), so 1-d periodic evaluations carry no truncation error
-  beyond the origin cell's own images, which stop at _N_IMAGES periods;
+  beyond the origin cell's own images, which stop at _N_IMAGES periods.  The
+  explicit image cells are taken by index, one period of N cells at a time:
+  the primitive is evaluated once per cell edge and differenced
+  (_intervals), and the masses are summed by residue mod N and folded onto
+  the pair weights;
 * 2-d torus: the cell weights above on the principal window |j|_inf <= N//2
   plus the exact lattice images h^2 sum_{n != 0} K(hj + nP), summed by Ewald
   splitting, folded onto the torus; this needs a power-law kernel (a custom
-  profile has no closed-form lattice sum and is refused).  The truncation
-  radius plays no part on either torus.
+  profile has no closed-form lattice sum and is refused).  |A^-1 y|^2 is
+  built once on the window from outer sums of the axis vectors (_window),
+  and the kernel there feeds both the far cells and the Ewald sum's n = 0
+  term.  The truncation radius plays no part on either torus.
 
 Every weight is nonnegative and attached symmetrically to +/- offsets, so the
 bilinear form built on the same weights is positive semidefinite, and the
@@ -77,14 +83,19 @@ def _profile_psi(kernel: KernelSpec, r):
     return np.asarray(kernel.profile(r), dtype=float) * r ** kernel.singularity_order
 
 
+def _exponent(kernel: KernelSpec, extra_power):
+    """Exponent q of the primitive r^q / q of r^extra_power * r^-(n+2s),
+    summed in this order so that the power-law exponents (-2s, 2 - 2s) come
+    out bit for bit."""
+    return (extra_power + 1.0 - kernel.dim) - 2.0 * kernel.s
+
+
 def _ray(kernel: KernelSpec, psi, a, b, extra_power):
     """integral of r^extra_power * K(r e) over [a, b] along each direction e
     whose psi is psi (see _ray_psi; None samples a custom profile's psi at
     the midpoints of _PSI_SUBDIV subcells); a, b and psi broadcast.  The
     singular power is integrated in closed form against psi."""
-    # exponent of the primitive, summed in this order so that the power-law
-    # exponents (-2s, 2 - 2s) come out bit for bit
-    q = (extra_power + 1.0 - kernel.dim) - 2.0 * kernel.s
+    q = _exponent(kernel, extra_power)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if psi is None:
@@ -97,12 +108,26 @@ def _ray(kernel: KernelSpec, psi, a, b, extra_power):
     return psi * (b**q - a**q) / q
 
 
+def _intervals(kernel: KernelSpec, psi, edges, extra_power):
+    """_ray over the consecutive intervals [edges[k], edges[k+1]] of one
+    ray: a frozen psi takes one power per edge and differences the
+    primitive (the same bits as _ray on the pairs); a custom psi is
+    sampled by _ray."""
+    if psi is None:
+        return _ray(kernel, None, edges[:-1], edges[1:], extra_power)
+    q = _exponent(kernel, extra_power)
+    if abs(q) < 1e-12:
+        return psi * np.diff(np.log(edges))
+    F = edges**q
+    return psi * (F[1:] - F[:-1]) / q
+
+
 def _ray_tail(kernel: KernelSpec, psi, r0, extra_power):
     """integral of r^extra_power * K(r e) over [r0, infinity), psi as in
     _ray; a frozen psi makes it exact.  A custom psi is sampled out to
     1e6 * r0 and frozen at its last sample beyond; admissible profiles make
     that a bounded-relative-error remainder of a vanishing quantity."""
-    q = (extra_power + 1.0 - kernel.dim) - 2.0 * kernel.s
+    q = _exponent(kernel, extra_power)
     if psi is None:
         edges = np.asarray(r0, dtype=float)[..., None] * np.logspace(0.0, 6.0, 481)
         rf = edges[..., -1]
@@ -167,19 +192,15 @@ def _near_shell_count(grid: GridSpec) -> int:
 
 
 def _line_base_weights(kernel: KernelSpec, h: float, J: int, q: int) -> np.ndarray:
+    """Pair weights at offsets 1..J: the cell mass of the shells beyond q,
+    moment weights on the q innermost ones."""
     psi = _ray_psi(kernel, 1.0)
-    j = np.arange(1, J + 1)
-    a = (j - 0.5) * h
-    b = (j + 0.5) * h
-    w = np.empty(J)
-    far = j > q
-    if np.any(far):
-        w[far] = _ray(kernel, psi, a[far], b[far], 0)
-    near = ~far
-    if np.any(near):
-        w[near] = _ray(kernel, psi, a[near], b[near], 2) / (j[near] * h) ** 2
+    edges = (np.arange(J + 1) + 0.5) * h
+    w = _intervals(kernel, psi, edges, 0)
+    j = np.arange(1, min(q, J) + 1)
+    w[: j.size] = _ray(kernel, psi, edges[: j.size], edges[1 : j.size + 1], 2) / (j * h) ** 2
     # the innermost weight integrates the moment from the origin itself
-    w[0] = float(_ray(kernel, psi, 0.0, b[:1], 2)[0]) / h**2
+    w[0] = float(_ray(kernel, psi, 0.0, edges[1], 2)) / h**2
     return w
 
 
@@ -205,22 +226,27 @@ def _build_periodic_line_scheme(kernel, grid):
     q = _near_shell_count(grid)
     psi = _ray_psi(kernel, 1.0)
     w = _line_base_weights(kernel, h, J, q)
-    j = np.arange(1, J + 1)
-    y = j * h
-    self_mirror = (N % 2 == 0)
-    for fam in (+1.0, -1.0):
-        keep = np.ones(J, dtype=bool)
-        if fam < 0 and self_mirror:
-            keep[J - 1] = False  # the half-period shell is its own mirror
-        yk = y[keep]
-        for k in range(1, _N_IMAGES + 1):
-            mu = k * P + fam * yk
-            w[keep] += _ray(kernel, psi, mu - 0.5 * h, mu + 0.5 * h, 0)
-        # images beyond: 1/P times the integral over mu >= mu_inf of the cell
-        # mass, i.e. of the tail mass r K(r) / (2s) (psi frozen) over one cell
-        mu_inf = (_N_IMAGES + 0.5) * P + fam * yk
-        cell = _ray(kernel, psi, mu_inf - 0.5 * h, mu_inf + 0.5 * h, 1)
-        w[keep] += cell / (2.0 * kernel.s * P)
+    # the image cells, centred at i h for i = J+1 .. _N_IMAGES N + J, one
+    # period (N cells, N + 1 edges) at a time, summed by residue r = i mod N
+    mass = np.zeros(N)
+    edges = np.arange(N + 1) + (J + 0.5)
+    for _ in range(_N_IMAGES):
+        mass += _intervals(kernel, psi, edges * h, 0)
+        edges += N
+    mass = np.roll(mass, J + 1)
+    # r = 0: the origin's images, on the quadratic model below; the others
+    # fold onto the pair weight j = min(r, N - r), which on even N holds the
+    # half-period shell, its own mirror, once
+    w += mass[1 : J + 1]
+    w[: N - 1 - J] += mass[N - 1 : J : -1]
+    # images beyond: 1/P times the integral over mu >= mu_inf of the cell
+    # mass, i.e. of the tail mass r K(r) / (2s) (psi frozen) over one cell,
+    # for the families at +y and at -y (the latter folded as above)
+    y = np.arange(1, J + 1) * h
+    mu_inf = (_N_IMAGES + 0.5) * P + np.concatenate([y, -y[: N - 1 - J]])
+    cell = _ray(kernel, psi, mu_inf - 0.5 * h, mu_inf + 0.5 * h, 1) / (2.0 * kernel.s * P)
+    w += cell[:J]
+    w[: N - 1 - J] += cell[J:]
     # images of the origin cell at k*P: quadratic model onto the first node
     kk = np.arange(1, _N_IMAGES + 1) * P
     w[0] += float(np.sum(kernel(kk) * h**3 / 12.0)) / h**2
@@ -234,13 +260,20 @@ def _centred(w: np.ndarray) -> np.ndarray:
 
 def _torus_fold(W: np.ndarray, N: int) -> np.ndarray:
     """A centred offset array of any dimension folded onto the torus shifts
-    0..N-1 per axis; on even N the half-period shift collects both members
-    of its pair."""
+    0..N-1 per axis, one axis at a time by slice adds of N-long blocks; on
+    even N the half-period shift collects both members of its pair."""
     M = W.shape[0] // 2
-    idx = np.mod(np.arange(-M, M + 1), N)
-    out = np.zeros((N,) * W.ndim)
-    np.add.at(out, np.ix_(*(idx,) * W.ndim), W)
-    return out
+    for axis in range(W.ndim):
+        lead = (slice(None),) * axis
+        out = np.zeros(W.shape[:axis] + (N,) + W.shape[axis + 1 :])
+        for lo in range(0, W.shape[axis], N):
+            n = min(N, W.shape[axis] - lo)
+            r = (lo - M) % N  # the shift of the block's first offset
+            k = min(N - r, n)
+            out[lead + (slice(r, r + k),)] += W[lead + (slice(lo, lo + k),)]
+            out[lead + (slice(0, n - k),)] += W[lead + (slice(lo + k, lo + n),)]
+        W = out
+    return W
 
 
 # -- 2-d construction --------------------------------------------------------
@@ -274,25 +307,38 @@ def _square_tail_mass(kernel, R):
     return float(np.mean(vals) * 2.0 * np.pi)
 
 
-def _plane_cell_weights(kernel, grid, M, q):
+def _window(kernel, h, M):
+    """z = A^-1 y at the offsets y = h j, |j|_inf <= M (A = I without a
+    matrix), as its two components, each an outer sum of the axis vectors
+    h j A^-1 e_1 and h j A^-1 e_2, and |z|^2, set to 1 at the zero offset,
+    which carries no weight."""
+    t = h * np.arange(-M, M + 1)
+    Ainv = np.eye(2) if kernel.A is None else np.linalg.inv(kernel.A)
+    z = tuple(np.add.outer(t * Ainv[a, 0], t * Ainv[a, 1]) for a in (0, 1))
+    r2 = z[0] * z[0] + z[1] * z[1]
+    r2[M, M] = 1.0
+    return z, r2
+
+
+def _plane_cell_weights(kernel, grid, M, q, K=None):
     """Offset-indexed cell weights on [-M..M]^2; the inner box is replaced by
-    matrix-moment weights on the first ring of nodes."""
+    matrix-moment weights on the first ring of nodes.  K is the kernel on
+    that window (kernel.at_norm2 of _window's |z|^2 when not given)."""
     h = grid.h
-    idx = np.arange(-M, M + 1)
-    Y1, Y2 = np.meshgrid(idx * h, idx * h, indexing="ij")
-    Y = np.stack([Y1, Y2], axis=-1)
-    W = np.zeros((idx.size, idx.size))
-    sup = np.maximum(np.abs(Y1), np.abs(Y2))
-    far = sup > (q + 0.5) * h
-    W[far] = kernel(Y[far]) * h * h
+    if K is None:
+        K = kernel.at_norm2(_window(kernel, h, M)[1])
+    j = np.abs(np.arange(-M, M + 1))
+    sup = np.maximum.outer(j, j)
+    far = sup > q
+    W = np.where(far, K * h * h, 0.0)
     # refine the ring of cells just outside the inner box
-    ring = far & (sup <= (q + 3.5) * h + 1e-12)
+    ring = far & (sup <= q + 3)
     gs = 6
     t = (np.arange(gs) + 0.5) / gs - 0.5
     off = h * np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
     ri, rj = np.nonzero(ring)
     if ri.size:
-        sub = Y[ri, rj][:, None, :] + off[None, :, :]
+        sub = (np.stack([ri - M, rj - M], axis=-1) * h)[:, None, :] + off[None, :, :]
         W[ri, rj] = np.mean(kernel(sub.reshape(-1, 2)).reshape(ri.size, -1),
                             axis=1) * h * h
     # inner box through matrix moments sampled on the first node ring
@@ -328,15 +374,16 @@ def _build_plane_scheme(kernel, grid):
     )
 
 
-def _lattice_images(kernel, grid, alpha=None):
+def _lattice_images(kernel, grid, z, r2, K, alpha=None):
     """h^2 * sum over n != 0 of K(h j + n P) at the centred offsets
     |j|_inf <= N//2 of a power-law kernel K(y) = kappa |z|^(-2 nu), z = A^-1 y,
     nu = 1 + s, by Ewald splitting on the lattice L = P A^-1 in z: the terms
-    |z + L n|^(-2 nu) Q(nu, alpha |z + L n|^2) in real space, the rest through
-    Poisson summation as one inverse FFT over the reciprocal modes m, with
-    coefficients a^s Gamma(-s, a / alpha), a = pi^2 |A^T m|^2 / P^2.  Terms
-    whose Gaussian exponent reaches _EWALD_CUT are below 1e-20 and dropped.
-    The result does not depend on the splitting width alpha."""
+    K(h j + n P) Q(nu, alpha |z + L n|^2) in real space, the rest through
+    Poisson summation as one inverse FFT over the reciprocal modes m,
+    with coefficients a^s Gamma(-s, a / alpha), a = pi^2 |A^T m|^2 / P^2.
+    Terms whose Gaussian exponent reaches _EWALD_CUT are below 1e-20 and
+    dropped.  z, r2 = |z|^2 and K are _window's and the kernel there.  The
+    result does not depend on the splitting width alpha."""
     h, P, s = grid.h, grid.period, kernel.s
     N = grid.shape[0]
     nu = 1.0 + s
@@ -350,38 +397,45 @@ def _lattice_images(kernel, grid, alpha=None):
         # sig/2 for n != 0 on the window), so only n = 0 is evaluated
         alpha = _EWALD_CUT * (3.0 / sig) ** 2
     rc2 = _EWALD_CUT / alpha
-    idx = np.arange(-(N // 2), N // 2 + 1)
-    Y = np.stack(np.meshgrid(idx * h, idx * h, indexing="ij"), axis=-1)
-    # real space; the n = 0 term enters as |z|^(-2 nu) (Q - 1)
-    z = Y @ Ainv.T
-    r2 = np.sum(z * z, axis=-1)
-    r2[N // 2, N // 2] = 1.0  # the zero offset carries no weight
-    out = -(r2 ** -nu)
-    near = r2 < rc2
-    out[near] *= gammainc(nu, alpha * r2[near])
+    # real space; the n = 0 term enters as K (Q - 1).  r2 and K are exactly
+    # even, so the rows j_1 <= 0 are evaluated and mirrored onto j_1 > 0
+    M = N // 2
+    out = -K
+    top = out[: M + 1]
+    near = r2[: M + 1] < rc2
+    top[near] *= gammainc(nu, alpha * r2[: M + 1][near])
+    out[M + 1 :] = out[M - 1 :: -1, ::-1]
     # images with (|n|_inf - 1/2) sig < rc reach the window
     reach = int(np.sqrt(rc2) / sig + 0.5)
     for n in np.ndindex(2 * reach + 1, 2 * reach + 1):
         n = np.array(n) - reach
         if not n.any():
             continue
-        r2 = np.sum((z + Ainv @ (P * n)) ** 2, axis=-1)
-        near = r2 < rc2
-        out[near] += r2[near] ** -nu * gammaincc(nu, alpha * r2[near])
-    # reciprocal space, folded onto the N^2 torus modes
+        shift = Ainv @ (P * n)
+        rn2 = (z[0] + shift[0]) ** 2 + (z[1] + shift[1]) ** 2
+        near = rn2 < rc2
+        out[near] += kernel.at_norm2(rn2[near]) * gammaincc(nu, alpha * rn2[near])
+    # reciprocal space on the modes m_2 >= 0, with a from outer sums of the
+    # axis vectors m A^T e_b; the coefficients are even in m, which gives
+    # the modes m_2 < 0
     mmax = int(np.ceil(np.sqrt(_EWALD_CUT * alpha) * P / (np.pi * sv[-1])))
-    m = np.stack(np.meshgrid(*(np.arange(-mmax, mmax + 1),) * 2, indexing="ij"), axis=-1)
-    a = (np.pi / P) ** 2 * np.sum((m @ A) ** 2, axis=-1)
+    m = np.arange(-mmax, mmax + 1)
+    g = [np.add.outer(m * A[0, b], m[mmax:] * A[1, b]) for b in (0, 1)]
+    a = (np.pi / P) ** 2 * (g[0] * g[0] + g[1] * g[1])
     keep = (a > 0.0) & (a < _EWALD_CUT * alpha)
     a, x = a[keep], a[keep] / alpha
     # Gamma(-s, x) = (Gamma(1-s, x) - x^-s e^-x) / (-s)
-    coef = a**s * (gamma(1.0 - s) * gammaincc(1.0 - s, x) - x**-s * np.exp(-x)) / -s
-    C = np.zeros((N, N))
-    np.add.at(C, (m[keep, 0] % N, m[keep, 1] % N), coef)
+    coef = np.zeros(keep.shape)
+    coef[keep] = a**s * (gamma(1.0 - s) * gammaincc(1.0 - s, x) - x**-s * np.exp(-x)) / -s
+    C = _torus_fold(np.concatenate([coef[::-1, :0:-1], coef], axis=1), N)
     C[0, 0] += alpha**s / s
-    R = np.real(np.fft.ifft2(C)) * (N * N * np.pi * det / (P * P * gamma(nu)))
-    out += R[np.ix_(idx % N, idx % N)]
-    out *= h * h * kernel.c_ns / det
+    # C is real and even, so its inverse transform is that of its half spectrum
+    kappa = kernel.at_norm2(1.0)
+    R = np.fft.irfft2(C[:, : N // 2 + 1], s=(N, N)) * (
+        N * N * np.pi * det * kappa / (P * P * gamma(nu)))
+    idx = np.arange(-(N // 2), N // 2 + 1) % N
+    out += R[np.ix_(idx, idx)]
+    out *= h * h
     # rounding differs at j and -j; the mean makes the images exactly even
     return 0.5 * (out + out[::-1, ::-1])
 
@@ -392,8 +446,11 @@ def _build_periodic_plane_scheme(kernel, grid, alpha=None):
                           "profile has no closed-form lattice sum")
     N = grid.shape[0]
     q = _near_shell_count(grid)
-    W, dropped = _plane_cell_weights(kernel, grid, N // 2, q)
-    W += _lattice_images(kernel, grid, alpha)
+    # one window of |A^-1 y|^2 and K serves the cells and the Ewald sum
+    z, r2 = _window(kernel, grid.h, N // 2)
+    K = kernel.at_norm2(r2)
+    W, dropped = _plane_cell_weights(kernel, grid, N // 2, q, K)
+    W += _lattice_images(kernel, grid, z, r2, K, alpha)
     if N % 2 == 0:
         # the window's edge rows and columns are images of each other
         W[[0, -1], :] *= 0.5

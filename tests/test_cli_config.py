@@ -50,6 +50,19 @@ SHAPE_CASES = {
     "constant-not-numbers": ({"command": "solve-linear", "grid": GRID_1D,
                               "exterior": 'constant:["a"]'},
                              "constant rule needs a list of numbers"),
+    # JSON booleans would read as 1 or 0; JSON admits NaN and Infinity
+    "constant-boolean": ({"command": "solve-linear", "grid": GRID_1D,
+                          "exterior": "constant:true"},
+                         "constant rule needs a list of numbers: 'constant:true'"),
+    "constant-boolean-in-list": ({"command": "solve-linear", "grid": GRID_1D,
+                                  "exterior": "constant:[1, false]"},
+                                 "constant rule needs a list of numbers"),
+    "constant-nan": ({"command": "solve-linear", "grid": GRID_1D,
+                      "exterior": "constant:[NaN]"},
+                     "constant rule needs a list of numbers: 'constant:[NaN]'"),
+    "constant-infinity": ({"command": "solve-linear", "grid": GRID_1D,
+                           "exterior": "constant:-Infinity"},
+                          "constant rule needs a list of numbers"),
 }
 
 
@@ -71,7 +84,9 @@ def test_output_dir_not_a_string_exits_two(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "5").exists()
 
 
-@pytest.mark.parametrize("name", ["constant:[1,", 'constant:["a"]', 'constant:{"a": 1}'])
+@pytest.mark.parametrize("name", ["constant:[1,", 'constant:["a"]', 'constant:{"a": 1}',
+                                  "constant:true", "constant:[0.5, true]", "constant:[NaN]",
+                                  "constant:Infinity", "constant:[1e999]"])
 def test_field_file_with_malformed_constant_rule(tmp_path, name):
     grid = GridSpec(dim=1, h=1 / 8, radius=1.0)
     path = write_field_fsf1(tmp_path / "u.fsf1", constant_field(grid, [0.5], zero_rule()))

@@ -107,6 +107,19 @@ class TestGridSpec:
                      periodic=True)
         assert g == GridSpec(dim=dim, h=2 * np.pi / 16, radius=np.pi, periodic=True)
 
+    @pytest.mark.parametrize("dim,h,radius", [
+        (dim, h, radius) for dim, fine in ((1, 1 / 4096), (2, 1 / 256))
+        for h, radius in ((1 / 8, 0.625), (0.2, 1.0), (1 / 3, 1.0), (fine, 1.0))])
+    def test_interior_mask_matches_points(self, monkeypatch, dim, h, radius):
+        g = _grid(h=h, radius=radius, dim=dim)
+        pts = g.points()
+        r = np.sqrt(np.sum(pts * pts, axis=-1))
+        ref = r < g.radius - 1e-12
+        # nodes on the sphere (3-4-5 triples, the axis ends) are in the case
+        assert np.min(np.abs(r - g.radius)) <= 1e-12
+        monkeypatch.setattr(GridSpec, "points", None)  # the mask needs no points
+        assert np.array_equal(g.interior_mask(), ref)
+
     def test_index_of(self):
         g = _grid(h=0.25)
         assert g.points()[g.index_of([0.5])][0] == pytest.approx(0.5)

@@ -134,6 +134,36 @@ class TestAnisotropicKernel:
         assert ea == pytest.approx(scale * ef, rel=1e-12)
 
 
+class TestNormEvaluation:
+    """K is evaluated from the squared A^-1-norm; it must match the closed
+    forms c |y|^-(n+2s), c / (det A |A^-1 y|^(n+2s)) and profile(|y|)."""
+
+    ROT = [[2.0 * np.cos(0.5), -np.sin(0.5)], [2.0 * np.sin(0.5), np.cos(0.5)]]
+
+    @pytest.mark.parametrize("dim,matrix", [(1, None), (1, [[-0.6]]), (2, None),
+                                            (2, ROT)], ids=["1d", "1d-A", "2d", "2d-A"])
+    @pytest.mark.parametrize("s", [0.2, 0.9])
+    def test_matches_closed_form(self, dim, matrix, s):
+        rng = np.random.default_rng(4)
+        y = rng.normal(size=(50, dim)) * np.exp(rng.uniform(-3, 3, size=(50, 1)))
+        if dim == 1:
+            y = y[:, 0]
+        if matrix is None:
+            k = make_fractional_kernel(dim, s)
+            z, det = y, 1.0
+        else:
+            k = make_anisotropic_kernel(matrix, s)
+            A = np.asarray(matrix)
+            z = y / A[0, 0] if dim == 1 else y @ np.linalg.inv(A).T
+            det = abs(np.linalg.det(A))
+        r = np.abs(z) if dim == 1 else np.linalg.norm(z, axis=-1)
+        ref = k.c_ns / (det * r ** (dim + 2 * s))
+        assert np.allclose(k(y), ref, rtol=4e-15, atol=0.0)
+        custom = make_custom_kernel(lambda rr: np.cos(rr) + 2.0, s, dim, 1.0, 3.0)
+        rr = np.abs(y) if dim == 1 else np.linalg.norm(y, axis=-1)
+        assert np.allclose(custom(y), np.cos(rr) + 2.0, rtol=1e-15, atol=0.0)
+
+
 class TestBoundsCheck:
     def test_below_lower_bound_detected(self):
         base = make_fractional_kernel(1, 0.5)
