@@ -93,12 +93,13 @@ _SHAPES = {**{sec: dict for sec in SECTION_KEYS}, "s_values": list,
 _SHAPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 # keys a command never reads; set in its config they would be silently
-# ignored, so they are refused like unknown keys.  The flows take their
-# exterior data from solver.amplitude (the phase rule), not from exterior.
-_NO_BOUNDS = {f"bounds.{k}" for k in SECTION_KEYS["bounds"]} | {"field_profile", "s_values"}
-_FLOW_UNREAD = _NO_BOUNDS | {"exterior", "solver.rhs", "solver.levels", "solver.wavenumber"}
+# ignored, so they are refused like unknown keys.  No solver draws a random
+# number; the flows take their exterior data from solver.amplitude.
+_SOLVE_UNREAD = ({f"bounds.{k}" for k in SECTION_KEYS["bounds"]}
+                 | {"field_profile", "s_values", "seed"})
+_FLOW_UNREAD = _SOLVE_UNREAD | {"exterior", "solver.rhs", "solver.levels", "solver.wavenumber"}
 UNREAD_KEYS = {
-    "solve-linear": {f"solver.{k}" for k in SECTION_KEYS["solver"] - {"rhs"}} | _NO_BOUNDS,
+    "solve-linear": {f"solver.{k}" for k in SECTION_KEYS["solver"] - {"rhs"}} | _SOLVE_UNREAD,
     "solve-harmonic": _FLOW_UNREAD | {"solver.epsilon"},
     "solve-gl": _FLOW_UNREAD,
 }
@@ -164,6 +165,9 @@ class ExperimentConfig:
         s = _order("kernel.s", k.get("s", 0.5))
         kind = k.get("kind", "fractional")
         if kind == "fractional":
+            if "matrix" in k:
+                raise ConfigError("kernel.matrix needs kind 'anisotropic'; "
+                                  "the fractional kernel reads no matrix")
             spec = make_fractional_kernel(dim, s)
         elif kind == "anisotropic":
             if "matrix" not in k:
@@ -358,6 +362,10 @@ def _cmd_limit(cfg: ExperimentConfig, out: Path) -> int:
         raise ConfigError("limit command needs a periodic grid")
     if g.dim != 1 and "matrix" not in cfg.kernel:
         raise ConfigError("anisotropic limit needs kernel.matrix")
+    kind = cfg.kernel.get("kind", "fractional")
+    if g.dim == 1 and (kind != "fractional" or "matrix" in cfg.kernel):
+        raise ConfigError("the 1-d limit is isotropic: it reads no kernel.matrix "
+                          "and no kernel.kind but 'fractional'")
     wave = _number("solver.wavenumber", cfg.solver.get("wavenumber", 2), int)
     v = field_from_function(g, lambda p: np.cos(wave * p[:, 0]), periodic_rule(), m=1)
     if g.dim == 1:

@@ -147,7 +147,6 @@ class ExteriorRule:
     kind: str
     fn: Callable
     limit: Optional[Callable] = None
-    vector: Optional[tuple] = None
 
     def values(self, points: np.ndarray, m: int) -> np.ndarray:
         """Evaluate at points (k, dim) -> (k, m)."""
@@ -166,15 +165,13 @@ class ExteriorRule:
         closed form.  A map of the zero or a constant rule is the constant
         rule of the mapped value, and keeps the kind "zero" only when that
         value is zero."""
-        lim = self.limit
-        kind, vector = self.kind, self.vector
-        if kind in ("zero", "constant"):
-            value = f(lim(None, m)[None, :])[0]  # the limit ignores the direction
-            if kind == "constant" or np.any(value != 0.0):
-                kind, vector = "constant", tuple(value)
+        lim, kind = self.limit, self.kind
+        # the limit of the zero rule ignores the direction
+        if kind == "zero" and np.any(f(lim(None, m)[None, :])[0] != 0.0):
+            kind = "constant"
         return ExteriorRule(
             kind, lambda pts, _: f(self.fn(pts, m)),
-            None if lim is None else lambda d, _: f(lim(d, m)[None, :])[0], vector)
+            None if lim is None else lambda d, _: f(lim(d, m)[None, :])[0])
 
 
 def zero_rule() -> ExteriorRule:
@@ -183,12 +180,11 @@ def zero_rule() -> ExteriorRule:
 
 
 def constant_rule(vec) -> ExteriorRule:
-    vector = tuple(np.atleast_1d(np.asarray(vec, float)))
-    g = np.asarray(vector)
+    g = np.atleast_1d(np.array(vec, float))
     g.setflags(write=False)
     return ExteriorRule("constant",
                         lambda pts, m: np.repeat(g.reshape(1, m), pts.shape[0], axis=0),
-                        lambda d, m: g, vector)
+                        lambda d, m: g)
 
 
 def _sign_values(pts, m):
@@ -305,9 +301,6 @@ class SampledField:
 
     def with_values(self, vals) -> "SampledField":
         return SampledField(self.grid, vals, self.exterior, self.bound)
-
-    def with_bound(self, bound) -> "SampledField":
-        return SampledField(self.grid, self.values, self.exterior, bound)
 
     def value_at(self, points) -> np.ndarray:
         """Evaluate at arbitrary points: multilinear interpolation inside the

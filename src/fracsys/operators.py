@@ -5,10 +5,13 @@ All real-space evaluations of one kernel on one grid consume the same
 quadrature weights, the one offset array QuadratureScheme.weights (see
 quadrature.py): centred on the zero offset in free space, indexed by torus
 shift on periodic grids.  Every evaluation is built from the one
-correlation (W*f)(x) = sum_k W_k f(x+k): an FFT correlation over the values
-padded by the rule's exterior data in free space, a circular one on the
-torus.  L u = W*u - S u (S = sum_k W_k) plus the closed-form tail, and the
-bilinear form follows from the polarization identity
+correlation (W*f)(x) = sum_k W_k f(x+k) of _correlator: one real-FFT
+product (_fft_product) over the values padded by the rule's exterior data
+in free space, a cyclic one on the torus, or at a single node the dot
+product of W with the values it weighs there.  The interior operator's
+circulants and the spectral oracle's multipliers are the same product.
+L u = W*u - S u (S = sum_k W_k) plus the closed-form tail, and the bilinear
+form, at every node or at one, follows from the polarization identity
 
     sum_k W_k (a(x) - a(x+k)) (b(x) - b(x+k))
         = S a b - (a (W*b) + b (W*a)) + W*(a b).
@@ -23,25 +26,21 @@ The pointwise identity
 
     -L(v^2)(x) + 2 v(x) L v(x) + 2 B(v, v)(x) = 0
 
-holds exactly in exact arithmetic, term by term per sampled point y
-(2 v(x) (v(x) - v(y)) - (v(x) - v(y))^2 equals v(x)^2 - v(y)^2).  In floating
-point it holds to the rounding of the correlations, not by per-node exact
-cancellation; that stays well inside the 1e-12 relative gate of
-verify.square_identity_check.  Each field is shifted by the midpoint of its stored range
-before it is correlated: L, B and the energy ignore constants, the shift
-keeps the correlated values (and so the rounding) small, and a constant
-field gives exactly zero.
+holds in exact arithmetic term by term per sampled point y (2 v(x) (v(x) -
+v(y)) - (v(x) - v(y))^2 equals v(x)^2 - v(y)^2), and in floating point to the
+rounding of the correlations, well inside the 1e-12 relative gate of
+verify.square_identity_check.  Each field is shifted by the midpoint of its
+stored range before it is correlated: L, B and the energy ignore constants,
+the shift keeps the rounding small, and a constant field gives exactly zero.
 
 The Dirichlet load of assemble_dirichlet is L_K of the exterior data alone
 (zero on the interior nodes, the rule on every other node), evaluated by the
 same table, correlation and tail as any other field, so the load and its
 truncation estimate read the weights and the rule exactly as L_K does.
 
-The coordinates of the padded nodes beyond the stored block, and their
-mask, depend on the grid and the padding width alone; _padding builds them
-once per pair and keeps the last few, read-only, so no caller can change
-what another reads.  A table that holds only zeros (the load of zero
-exterior data) is not correlated: its correlation is exactly zero.
+_padding keeps the coordinates and mask of the padded nodes beyond the
+stored block per grid and width, read-only.  A table that holds only zeros
+(the load of zero exterior data) is not correlated: its correlation is 0.
 
 Evaluations are pure functions of immutable inputs; applying them at many
 points concurrently needs no shared mutable state.  The one mutable piece is
@@ -82,31 +81,31 @@ __all__ = [
 # -- the correlation core ------------------------------------------------------
 
 
-def _correlator(W: np.ndarray, shape: tuple, periodic: bool):
-    """f -> sum over offsets k of W[k] f(x + k) at every stored node x, for f
-    of the given shape.  On the torus the sum wraps (a circular FFT
-    correlation); in free space f holds the values padded by W's half-width
-    and only the stored nodes are kept ('valid' mode: a real FFT correlation
-    zero-padded so that nothing wraps)."""
-    if periodic:
-        Fw = np.conj(np.fft.fftn(W))
-        return lambda f: np.real(np.fft.ifftn(np.fft.fftn(f) * Fw))
-    size = tuple(next_fast_len(n, real=True) for n in shape)
-    axes = tuple(range(len(shape)))
-    keep = tuple(n - k + 1 for n, k in zip(shape, W.shape))
-    Fw = np.conj(np.fft.rfftn(W, s=size, axes=axes))
-    return lambda f: _irfftn_head(np.fft.rfftn(f, s=size, axes=axes) * Fw, size, axes, keep)
-
-
-def _irfftn_head(F: np.ndarray, s: tuple, axes: tuple, keep: tuple) -> np.ndarray:
-    """irfftn(F, s, axes) cropped to its first keep[i] entries along axes[i]
-    (axes[-1] the last axis of F).  The same 1-d transforms as irfftn, in the
-    same order, so the kept entries are bit-identical; each leading axis is
-    cropped before the next transform, so the rows that are cut away are
-    never transformed."""
-    for ax, n, k in zip(axes[:-1], s, keep):
+def _fft_product(f: np.ndarray, spectrum: np.ndarray, size: tuple, axes: tuple,
+                 keep: tuple) -> np.ndarray:
+    """irfftn(rfftn(f, size, axes) * spectrum, size, axes) cropped to its first
+    keep[i] entries along axes[i] (axes[-1] the last axis of f): the same
+    1-d transforms as irfftn, in the same order, but each leading axis is
+    cropped before the next, so the rows cut away are never transformed."""
+    F = np.fft.rfftn(f, s=size, axes=axes) * spectrum
+    for ax, n, k in zip(axes[:-1], size, keep):
         F = np.fft.ifft(F, n, axis=ax)[(slice(None),) * ax + (slice(0, k),)]
-    return np.fft.irfft(F, s[-1], axis=axes[-1])[..., : keep[-1]]
+    return np.fft.irfft(F, size[-1], axis=axes[-1])[..., : keep[-1]]
+
+
+def _correlator(W: np.ndarray, shape: tuple, periodic: bool, idx: tuple = ()):
+    """f -> sum over offsets k of W[k] f(x + k) for f of the given shape, at
+    every stored node or, when idx names one, at that node alone (one dot
+    product).  On the torus the sum wraps; in free space f holds the values
+    padded by W's half-width, zero-padded further so that nothing wraps, and
+    only the stored nodes are kept."""
+    if idx:
+        return lambda f: np.tensordot(W, _window(f, W, idx, periodic), axes=W.ndim)
+    axes = tuple(range(len(shape)))
+    size = shape if periodic else tuple(next_fast_len(n, real=True) for n in shape)
+    keep = shape if periodic else tuple(n - k + 1 for n, k in zip(shape, W.shape))
+    spectrum = np.conj(np.fft.rfftn(W, s=size, axes=axes))
+    return lambda f: _fft_product(f, spectrum, size, axes, keep)
 
 
 def _pair_sum(corr, S, a, b, Ea, Eb):
@@ -191,10 +190,8 @@ def _table(u: SampledField, scheme) -> _Table:
 
 def _far_magnitude(u: SampledField, t: _Table) -> float:
     """Crude sup bound used only in truncation-error estimates: the largest
-    |u| the table holds (the stored values and the rule on every padded
-    node), or u.bound when that is larger.  sqrt is monotone and correctly
-    rounded, so the root of the largest squared norm is the largest norm,
-    without an array of norms."""
+    |u| the table holds, or u.bound when that is larger; the root of the
+    largest squared norm (sqrt is monotone), without an array of norms."""
     vals = t.E + t.ref
     vals *= vals
     sup = float(np.sqrt(np.max(np.sum(vals, axis=-1))))
@@ -211,21 +208,17 @@ def _interior_node_index(u: SampledField, x):
 # -- L_K ------------------------------------------------------------------------
 
 
-def _apply(u: SampledField, kernel: KernelSpec, idx=None):
-    """L_K u at every stored node, or at the node idx only (one dot product)."""
+def _apply(u: SampledField, kernel: KernelSpec, idx: tuple = ()):
+    """L_K u at every stored node, or at the node idx only (see _correlator)."""
     scheme = scheme_for(kernel, u.grid)
     W = scheme.weights
     t = _table(u, scheme)
-    if idx is None:
-        v = t.v
-        if t.E.any():
-            corr = _correlator(W, t.E.shape[:-1], u.grid.periodic)
-            WE = np.stack([corr(t.E[..., c]) for c in range(u.m)], axis=-1)
-        else:  # the correlation of an all-zero table is exactly zero
-            WE = np.zeros(v.shape)
-    else:
-        v = t.v[idx]
-        WE = np.tensordot(W, _window(t.E, W, idx, u.grid.periodic), axes=W.ndim)
+    v = t.v[idx]
+    if t.E.any():
+        corr = _correlator(W, t.E.shape[:-1], u.grid.periodic, idx)
+        WE = np.stack([corr(t.E[..., c]) for c in range(u.m)], axis=-1)
+    else:  # the correlation of an all-zero table is exactly zero
+        WE = np.zeros(v.shape)
     out = WE - float(np.sum(W)) * v
     for g in t.g or ():
         out += scheme.tail_mass * (g - v)
@@ -272,19 +265,12 @@ def _tables(u: SampledField, w: SampledField, kernel: KernelSpec):
 
 
 def _bilinear(u: SampledField, w: SampledField, scheme, tu: _Table, tw: _Table,
-              corr=None, idx=None):
-    """B(u, w) and its truncation estimate from the tables tu, tw: at every
-    stored node through corr, the correlator of the weights over the tables,
-    or at the node idx only."""
-    W = scheme.weights
-    if idx is None:
-        a, b = tu.v, tw.v
-        acc = 0.5 * _pair_sum(corr, float(np.sum(W)), a, b, tu.E, tw.E)
-    else:
-        a, b = tu.v[idx], tw.v[idx]
-        diff = np.sum((a - _window(tu.E, W, idx, u.grid.periodic))
-                      * (b - _window(tw.E, W, idx, u.grid.periodic)), axis=-1)
-        acc = 0.5 * float(np.tensordot(W, diff, axes=W.ndim))
+              corr, idx: tuple = ()):
+    """B(u, w) and its truncation estimate from the tables tu, tw through
+    corr, the correlator of the weights over the tables: at every stored
+    node, or at the node idx that corr evaluates."""
+    a, b = tu.v[idx], tw.v[idx]
+    acc = 0.5 * _pair_sum(corr, float(np.sum(scheme.weights)), a, b, tu.E, tw.E)
     if tu.g is None or tw.g is None:
         return acc, 2.0 * _far_magnitude(u, tu) * _far_magnitude(w, tw) * scheme.tail_upper
     for gu, gw in zip(tu.g, tw.g):
@@ -296,12 +282,14 @@ def bilinear_form_field(u: SampledField, w: SampledField, kernel: KernelSpec):
     """B_K(u, w) at every stored node; nonnegative for u = w."""
     scheme, tu, tw = _tables(u, w, kernel)
     corr = _correlator(scheme.weights, tu.E.shape[:-1], u.grid.periodic)
-    return _bilinear(u, w, scheme, tu, tw, corr=corr)
+    return _bilinear(u, w, scheme, tu, tw, corr)
 
 
 def bilinear_form(u: SampledField, w: SampledField, kernel: KernelSpec, x) -> float:
     idx = _interior_node_index(u, x)
-    vals, _ = _bilinear(u, w, *_tables(u, w, kernel), idx=idx)
+    scheme, tu, tw = _tables(u, w, kernel)
+    corr = _correlator(scheme.weights, tu.E.shape[:-1], u.grid.periodic, idx)
+    vals, _ = _bilinear(u, w, scheme, tu, tw, corr, idx)
     return float(vals)
 
 
@@ -335,7 +323,7 @@ def s_energy(u: SampledField, s: float) -> EnergyValue:
     grid = u.grid
     scheme, t, _ = _tables(u, u, make_fractional_kernel(grid.dim, s))
     corr = _correlator(scheme.weights, t.E.shape[:-1], grid.periodic)
-    B, est = _bilinear(u, u, scheme, t, t, corr=corr)
+    B, est = _bilinear(u, u, scheme, t, t, corr)
     inside = grid.interior_mask()
     hvol = grid.h**grid.dim
     total = hvol * float(np.sum(B[inside]))
@@ -353,13 +341,20 @@ def s_energy(u: SampledField, s: float) -> EnergyValue:
 
 
 def _spectral_multiply(grid: GridSpec, symbol, v: np.ndarray) -> np.ndarray:
-    """The Fourier multiplier symbol(k_1, ..., k_dim) applied to the scalar
-    values v of a periodic grid; k_i are the torus frequencies along axis i,
-    broadcast against each other."""
+    """The Fourier multiplier symbol(k_1, ..., k_dim), even in k, applied to
+    the scalar values v of a periodic grid on the real FFT's half spectrum;
+    k_i are the frequencies along axis i, broadcast against each other.  As
+    in the real part of a complex product, it is the mean of the symbol at
+    the frequencies of index i and the negated ones of -i, which differ at
+    an index n/2 of an even n (the frequencies -n/2 and n/2 at once)."""
     n = grid.shape[0]
     k = np.fft.fftfreq(n, d=1.0 / n) * (2.0 * np.pi / grid.period)
-    ks = np.meshgrid(*([k] * grid.dim), indexing="ij", sparse=True)
-    return np.real(np.fft.ifftn(symbol(*ks) * np.fft.fftn(v)))
+    spectrum = 0.0
+    for freq in (k, -k[-np.arange(n) % n]):
+        ks = np.meshgrid(*[freq] * (grid.dim - 1), freq[: n // 2 + 1], indexing="ij",
+                         sparse=True)
+        spectrum = spectrum + 0.5 * symbol(*ks)
+    return _fft_product(v, spectrum, grid.shape, tuple(range(grid.dim)), grid.shape)
 
 
 def spectral_apply(u: SampledField, s: float) -> SampledField:
@@ -505,8 +500,7 @@ class AssembledOperator:
         axes = tuple(range(1, len(self.box) + 1))
         f = np.zeros((X.shape[0], *self.box))
         f[:, self.box_mask] = X
-        g = _irfftn_head(np.fft.rfftn(f, s=self.fft_shape, axes=axes) * multiplier,
-                         self.fft_shape, axes, self.box)
+        g = _fft_product(f, multiplier, self.fft_shape, axes, self.box)
         return g[:, self.box_mask].T.reshape(x.shape)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:

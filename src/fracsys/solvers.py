@@ -110,8 +110,10 @@ class GLConfig:
 
 def solve_linear_dirichlet(problem: LinearProblem):
     """Preconditioned conjugate-gradient solve of the interior system
-    A x = b; returns (field, report).  The report's iterations is the PCG
-    count and its error_bound the certificate
+    A x = b, b the right-hand side plus the exterior data's load; returns
+    (field, report).  The report's iterations is the PCG count, its
+    final_residual ||b - A x||_inf / ||b||_inf and its error_bound the
+    certificate
     ||x - x*||_inf <= ||A^(-1)||_inf ||b - A x||_inf, with ||A^(-1)||_inf
     bounded by AssembledOperator.inverse_norm_bound."""
     op = assemble_dirichlet(problem.kernel, problem.grid, problem.exterior, m=1)
@@ -120,11 +122,12 @@ def solve_linear_dirichlet(problem: LinearProblem):
     b = rhs[:, None] + op.load
     sol = op.solve(b)
     resid = float(np.max(np.abs(b - op.matvec(sol))))
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    if not np.all(np.isfinite(sol)) or resid > 1e-6 * max(scale, 1.0) * sol.shape[0]:
+    if (not np.all(np.isfinite(sol))
+            or resid > 1e-6 * max(float(np.max(np.abs(rhs))), 1.0) * sol.shape[0]):
         raise SolverError("ill-conditioned interior system",
                           condition_estimate=op.condition_estimate)
     bound = op.inverse_norm_bound() * resid if resid > 0.0 else 0.0
+    scale = max(float(np.max(np.abs(b))), 1e-300)
     report = SolveReport(iterations=op.solve_iterations[-1], final_residual=resid / scale,
                          truncation_estimate=op.truncation_estimate, error_bound=bound)
     return op.field(sol), report

@@ -129,6 +129,22 @@ PATH_CASES = {
                          "s_values": [0.9]}, 2, "limit command needs a periodic grid"),
     "limit-2d-no-matrix": ({"command": "limit", "grid": TORUS_2D, "s_values": [0.9]},
                            2, "anisotropic limit needs kernel.matrix"),
+    # keys a command would silently ignore
+    "solve-linear-seed": ({"command": "solve-linear", "grid": GRID_1D, "seed": 3},
+                          2, "solve-linear does not read config keys: ['seed']"),
+    "solve-harmonic-seed": ({"command": "solve-harmonic", "grid": GRID_1D, "seed": 3},
+                            2, "solve-harmonic does not read config keys: ['seed']"),
+    "solve-gl-seed": ({"command": "solve-gl", "grid": GRID_1D, "seed": 3},
+                      2, "solve-gl does not read config keys: ['seed']"),
+    "fractional-matrix": ({"command": "solve-linear", "grid": {**GRID_1D, "dim": 2, "h": 1 / 8},
+                           "kernel": {"matrix": [[2, 0], [0, 1]]}},
+                          2, "kernel.matrix needs kind 'anisotropic'"),
+    "limit-1d-matrix": ({"command": "limit", "grid": TORUS_1D, "s_values": [0.9],
+                         "kernel": {"kind": "anisotropic", "matrix": [[3.0]]}},
+                        2, "the 1-d limit is isotropic: it reads no kernel.matrix"),
+    "limit-1d-kind": ({"command": "limit", "grid": TORUS_1D, "s_values": [0.9],
+                       "kernel": {"kind": "anisotropic"}},
+                      2, "the 1-d limit is isotropic: it reads no kernel.matrix"),
 }
 
 

@@ -16,7 +16,8 @@ from fracsys import (DomainError, GridSpec, SampledField, apply_fractional_lapla
                      apply_LK, apply_LK_field, assemble_dirichlet, bilinear_form,
                      bilinear_form_field, callback_rule, constant_rule,
                      make_anisotropic_kernel, make_custom_kernel, make_fractional_kernel,
-                     periodic_rule, s_energy, sign_rule, zero_rule)
+                     periodic_rule, s_energy, sign_rule, spectral_apply, zero_rule)
+from fracsys.operators import _spectral_multiply, _table, _window
 from fracsys.quadrature import scheme_for
 
 RTOL = 1e-9
@@ -347,3 +348,138 @@ def test_plane_load_matches_offset_loop(rule, m, kern):
         assert np.all(op.load == 0.0)
     else:
         assert_close(op.load, ref, "2-d assembled load")
+
+
+# -- the complex transforms and the one-node sums the real-FFT core replaced ---
+#
+# Test-local copies of the earlier paths: the torus correlation through a
+# complex n-d FFT, the Fourier multiplier through a complex n-d FFT of the full
+# spectrum, and the pointwise bilinear form as one direct sum over the weights
+# at the node.  The torus operators and multipliers must agree within 1e-14 of
+# the largest value, pointwise B within 1e-13 relative, and pointwise L_K
+# exactly (it is the same dot product).
+
+TIGHT = 1e-14
+
+
+def complex_torus(u, kernel):
+    """L_K u, B(u, u) and the energy on the torus, every correlation a
+    complex FFT product, with the same shift by the midpoint of the range."""
+    W = scheme_for(kernel, u.grid).weights
+    Fw = np.conj(np.fft.fftn(W))
+
+    def corr(f):
+        return np.real(np.fft.ifftn(np.fft.fftn(f) * Fw))
+
+    flat = np.asarray(u.values).reshape(-1, u.m)
+    v = np.asarray(u.values) - 0.5 * (np.max(flat, axis=0) + np.min(flat, axis=0))
+    S = float(np.sum(W))
+    lap = np.stack([corr(v[..., c]) - S * v[..., c] for c in range(u.m)], axis=-1)
+    B = 0.5 * sum(S * v[..., c] ** 2 - 2.0 * v[..., c] * corr(v[..., c]) + corr(v[..., c] ** 2)
+                  for c in range(u.m))
+    energy = 0.5 * u.grid.h**u.grid.dim * float(np.sum(B[u.grid.interior_mask()]))
+    return lap, B, energy
+
+
+def complex_multiplier(grid, symbol, v):
+    k = np.fft.fftfreq(grid.shape[0], d=1.0 / grid.shape[0]) * (2.0 * np.pi / grid.period)
+    ks = np.meshgrid(*([k] * grid.dim), indexing="ij", sparse=True)
+    return np.real(np.fft.ifftn(symbol(*ks) * np.fft.fftn(v)))
+
+
+def assert_tight(new, old, what):
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    err = float(np.max(np.abs(new - old))) / float(np.max(np.abs(old)))
+    assert err <= TIGHT, f"{what}: gap {err:.3e} of the largest value"
+
+
+def torus(dim, n):
+    return GridSpec(dim=dim, h=2 * np.pi / n, radius=np.pi, periodic=True)
+
+
+TORUS_KERNELS = {"fractional": lambda dim: make_fractional_kernel(dim, 0.6),
+                 "diagonal": lambda dim: make_anisotropic_kernel(np.diag([1.5, 0.8][:dim]), 0.6),
+                 "rotated": lambda dim: make_anisotropic_kernel([[1.5, 0.3], [0.2, 0.8]], 0.6)}
+TORUS_CASES = [(1, n, k) for n in (45, 64, 4096) for k in ("fractional", "diagonal")]
+TORUS_CASES += [(2, n, k) for n in (32, 33) for k in TORUS_KERNELS]
+
+
+@pytest.mark.parametrize("dim,n,kern", TORUS_CASES)
+def test_torus_operators_match_the_complex_correlation(dim, n, kern):
+    grid = torus(dim, n)
+    u = SampledField(grid, np.random.default_rng(n).normal(size=(*grid.shape, 2)),
+                     periodic_rule())
+    kernel = TORUS_KERNELS[kern](dim)
+    lap, B, energy = complex_torus(u, kernel)
+    assert_tight(apply_LK_field(u, kernel)[0], lap, "torus L_K u")
+    assert_tight(bilinear_form_field(u, u, kernel)[0], B, "torus B(u, u)")
+    if kern == "fractional":
+        assert_tight(s_energy(u, kernel.s).total, energy, "torus energy")
+
+
+@pytest.mark.parametrize("dim,n", [(1, 45), (1, 64), (1, 4096), (2, 32), (2, 33)])
+def test_multipliers_match_the_complex_multiplier(dim, n):
+    grid = torus(dim, n)
+    rng = np.random.default_rng(n)
+    u = SampledField(grid, rng.normal(size=(*grid.shape, 2)), periodic_rule())
+    ref = np.stack([complex_multiplier(grid, lambda *k: sum(kk**2 for kk in k) ** 0.6,
+                                       np.asarray(u.values)[..., c]) for c in range(2)], axis=-1)
+    assert_tight(spectral_apply(u, 0.6).values, ref, "spectral_apply")
+    if dim == 2:
+        # a cross term: at even n the row, the column and the corner of the
+        # index n/2 carry the frequencies -n/2 and n/2 at once
+        a = np.array([[1.5, 0.3], [0.2, 0.8]]) @ np.array([[1.5, 0.3], [0.2, 0.8]]).T
+
+        def symbol(k1, k2):
+            return -(a[0, 0] * k1**2 + 2.0 * a[0, 1] * k1 * k2 + a[1, 1] * k2**2)
+
+        v = rng.normal(size=grid.shape)
+        assert_tight(_spectral_multiply(grid, symbol, v),
+                     complex_multiplier(grid, symbol, v), "anisotropic multiplier")
+
+
+def direct_pointwise(u, w, kernel, idx):
+    """L_K u and B(u, w) at the node idx as direct sums over the weights at
+    that node: one dot product for L_K, the squared differences for B."""
+    scheme = scheme_for(kernel, u.grid)
+    W, periodic = scheme.weights, u.grid.periodic
+    tu, tw = _table(u, scheme), _table(w, scheme)
+    a, b = tu.v[idx], tw.v[idx]
+    Eu, Ew = _window(tu.E, W, idx, periodic), _window(tw.E, W, idx, periodic)
+    lap = np.tensordot(W, Eu, axes=W.ndim) - float(np.sum(W)) * a
+    B = 0.5 * float(np.tensordot(W, np.sum((a - Eu) * (b - Ew), axis=-1), axes=W.ndim))
+    for gu, gw in zip(tu.g or (), tw.g or ()):
+        lap += scheme.tail_mass * (gu - a)
+        B += 0.5 * scheme.tail_mass * np.sum((a - gu) * (b - gw), axis=-1)
+    return lap, B
+
+
+POINT_GRIDS = {"1d-64": GridSpec(dim=1, h=1 / 64, radius=1.0),
+               "1d-1024": GridSpec(dim=1, h=1 / 1024, radius=1.0),
+               "2d-16": GridSpec(dim=2, h=1 / 16, radius=1.0),
+               "2d-32": GridSpec(dim=2, h=1 / 32, radius=1.0),
+               "torus-64": torus(1, 64), "torus-32": torus(2, 32)}
+POINT_RULES = {"zero": zero_rule, "periodic": periodic_rule,
+               "callback": lambda: callback_rule(lambda p: np.cos(2.0 * p[:, :1]) + p[:, -1:])}
+POINT_CASES = [(name, rule) for name, grid in sorted(POINT_GRIDS.items())
+               for rule in (("periodic",) if grid.periodic else ("zero", "callback"))]
+
+
+@pytest.mark.parametrize("s", [0.3, 0.9])
+@pytest.mark.parametrize("name,rule", POINT_CASES)
+def test_pointwise_forms_match_the_direct_sums(name, rule, s):
+    grid, ext = POINT_GRIDS[name], POINT_RULES[rule]()
+    rng = np.random.default_rng(len(name))
+    u = SampledField(grid, rng.normal(size=(*grid.shape, 1)), ext)
+    w = u.with_values(rng.normal(size=(*grid.shape, 1)))
+    kernel = make_fractional_kernel(grid.dim, s)
+    nodes = np.argwhere(grid.interior_mask())
+    nodes = nodes[rng.choice(len(nodes), size=8, replace=False)]
+    ref = [(direct_pointwise(u, w, kernel, tuple(i)), direct_pointwise(u, u, kernel, tuple(i)))
+           for i in nodes]
+    scale = max(abs(uw[1]) for uw, _ in ref)
+    for i, ((lap, b_uw), (_, b_uu)) in zip(nodes, ref):
+        x = grid.axis()[i]
+        assert apply_LK(u, kernel, x) == float(lap[0])
+        assert abs(bilinear_form(u, w, kernel, x) - b_uw) <= 1e-13 * scale
+        assert abs(bilinear_form(u, u, kernel, x) - b_uu) <= 1e-13 * b_uu

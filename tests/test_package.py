@@ -34,3 +34,39 @@ def test_no_private_attribute_of_another_object(path):
            and not (node.attr.startswith("__") and node.attr.endswith("__"))
            and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
     assert not bad, bad
+
+
+def _calls(tree, names):
+    """(line, name) of every call in tree to a function called one of names,
+    by attribute (np.fft.fftn) or by bare name (fftn)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in names:
+                out.append((node.lineno, name))
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_complex_nd_transform(path):
+    # real fields take real transforms: one n-d complex pair doubles the work
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = _calls(tree, {"fftn", "ifftn", "fft2", "ifft2"})
+    assert not bad, [f"{path.name}:{line}: {name}" for line, name in bad]
+
+
+def test_operators_invert_transforms_only_in_the_fft_product():
+    # every correlation, circulant and multiplier of the operators is one
+    # spectral product, so one function holds every inverse transform
+    path = Path(fracsys.__file__).parent / "operators.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inverses = {"ifft", "irfft", "irfftn", "ifftn", "ifft2", "irfft2"}
+    inside = {line for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "_fft_product"
+              for line, _ in _calls(node, inverses)}
+    assert inside, "operators._fft_product holds no inverse transform"
+    stray = [f"operators.py:{line}: {name}" for line, name in _calls(tree, inverses)
+             if line not in inside]
+    assert not stray, stray

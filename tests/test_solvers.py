@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fracsys import (DomainError, GLConfig, GridSpec, LinearProblem,
                      ginzburg_landau_solve, make_fractional_kernel,
                      radial_projection_rule, s_energy, solve_linear_dirichlet,
                      zero_rule)
+from fracsys.cli import main
 from fracsys.operators import AssembledOperator, apply_LK_field, assemble_dirichlet
 from fracsys.probe import barrier_bound, supersolution_family
 from fracsys.solvers import _MAX_REJECTIONS
@@ -88,6 +90,31 @@ class TestLinearDirichlet:
             v1, _ = solve_linear_dirichlet(LinearProblem(k, grid, rhs1, zero_rule()))
             v2, _ = solve_linear_dirichlet(LinearProblem(k, grid, rhs2, zero_rule()))
             assert np.all(np.asarray(v2.values) >= np.asarray(v1.values) - 1e-12)
+
+    # rhs = 0 with nonzero exterior data (the s-harmonic extension): the
+    # system solved is A x = load, so the residual is relative to the load
+    EXTENSION_RULES = {"constant": constant_rule([1.0]),
+                       "cos": callback_rule(lambda p: np.cos(2.0 * p[:, :1] - p[:, 1:]))}
+
+    @pytest.mark.parametrize("name", list(EXTENSION_RULES))
+    def test_extension_residual_is_relative_to_the_system(self, name):
+        rule = self.EXTENSION_RULES[name]
+        grid, k = GridSpec(dim=2, h=1 / 16, radius=1.0), make_fractional_kernel(2, 0.5)
+        v, rep = solve_linear_dirichlet(LinearProblem(k, grid, 0.0, rule))
+        assert rep.final_residual <= 1e-12
+        op = assemble_dirichlet(k, grid, rule)
+        x = np.asarray(v.values).reshape(-1, 1)[op.interior_flat]
+        resid = np.max(np.abs(op.load - op.matvec(x)))
+        assert rep.final_residual == resid / np.max(np.abs(op.load))
+
+    def test_extension_residual_through_the_cli(self, tmp_path):
+        cfg = {"command": "solve-linear", "grid": {"dim": 2, "h": 1 / 16, "radius": 1.0},
+               "exterior": "constant:[1.0]", "solver": {"rhs": 0},
+               "output_dir": str(tmp_path / "out")}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert 0.0 <= report["final_residual"] <= 1e-12
 
     def test_dense_cap(self):
         with pytest.raises(DomainError):
