@@ -93,8 +93,8 @@ _SHAPES = {**{sec: dict for sec in SECTION_KEYS}, "s_values": list,
 _SHAPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 # keys a command never reads; set in its config they would be silently
-# ignored, so they are refused like unknown keys.  No solver draws a random
-# number; the flows take their exterior data from solver.amplitude.
+# ignored, so they are refused like unknown keys.  Only verify draws random
+# numbers; the flows take their exterior data from solver.amplitude.
 _SOLVE_UNREAD = ({f"bounds.{k}" for k in SECTION_KEYS["bounds"]}
                  | {"field_profile", "s_values", "seed"})
 _FLOW_UNREAD = _SOLVE_UNREAD | {"exterior", "solver.rhs", "solver.levels", "solver.wavenumber"}
@@ -102,6 +102,7 @@ UNREAD_KEYS = {
     "solve-linear": {f"solver.{k}" for k in SECTION_KEYS["solver"] - {"rhs"}} | _SOLVE_UNREAD,
     "solve-harmonic": _FLOW_UNREAD | {"solver.epsilon"},
     "solve-gl": _FLOW_UNREAD,
+    **{command: {"seed"} for command in ("probe-decay", "probe-harnack", "audit", "limit")},
 }
 
 
@@ -299,6 +300,7 @@ def _cmd_probe_decay(cfg: ExperimentConfig, out: Path) -> int:
 def _cmd_probe_harnack(cfg: ExperimentConfig, out: Path) -> int:
     grid = cfg.build_grid()
     _require_fractional(cfg)
+    cfg.build_kernel(grid.dim)  # refuses a kernel.matrix the family would not read
     s_values = _orders(cfg, (0.5, 0.7, 0.9))
     amp = _number("solver.amplitude", cfg.solver.get("amplitude", 0.6))
     builder = supersolution_family(grid, _phase_rule(amp), m=2)
@@ -363,6 +365,9 @@ def _cmd_limit(cfg: ExperimentConfig, out: Path) -> int:
     if g.dim != 1 and "matrix" not in cfg.kernel:
         raise ConfigError("anisotropic limit needs kernel.matrix")
     kind = cfg.kernel.get("kind", "fractional")
+    if g.dim != 1 and kind != "anisotropic":
+        raise ConfigError("the 2-d limit is anisotropic: kernel.matrix is read only with "
+                          f"kernel.kind 'anisotropic', not {kind!r}")
     if g.dim == 1 and (kind != "fractional" or "matrix" in cfg.kernel):
         raise ConfigError("the 1-d limit is isotropic: it reads no kernel.matrix "
                           "and no kernel.kind but 'fractional'")

@@ -7,10 +7,12 @@ The second-difference form of the operator,
 is discretized as a weighted sum over grid offsets.  Every admissible kernel
 is read along rays as K(r e) = psi(r, e) * r^(-(n+2s)) with psi bounded
 between (1-s) lam and (1-s) Lam; the power-law kinds (fractional,
-anisotropic) are the ones whose psi is constant along each ray.  The two ray
-integrals _ray and _ray_tail integrate the singular power in closed form
-against psi (frozen per ray, or sampled per subcell for custom profiles), and
-every shell, moment and tail integral below goes through them:
+anisotropic) are the ones whose psi is constant along each ray.  One ray
+integral, _intervals, integrates the singular power in closed form against
+psi (frozen per ray, or sampled per subcell for custom profiles) over
+consecutive intervals whose last edge may be infinite, and every shell,
+moment and tail integral below goes through it (_ray is its one-interval
+form):
 
 * far field: exact shell mass at the offset node (1-d); in 2-d the ring of
   cells just outside the inner box is averaged over 6 x 6 subcells and the
@@ -73,8 +75,8 @@ _EWALD_CUT = 50.0        # Gaussian exponent beyond which Ewald terms (< 1e-20) 
 def _ray_psi(kernel: KernelSpec, e):
     """psi = K(e) along the unit directions e (scalars +/-1 in 1-d, rows in
     2-d) when it is constant on each ray, as for the power-law kinds; None
-    for custom (radial) profiles, whose psi _ray samples.  Builders evaluate
-    it once and hand it to every _ray and _ray_tail along the same e."""
+    for custom (radial) profiles, whose psi _intervals samples.  Builders
+    evaluate it once and hand it to every ray integral along the same e."""
     return kernel(e) if kernel.is_power_law() else None
 
 
@@ -83,58 +85,43 @@ def _profile_psi(kernel: KernelSpec, r):
     return np.asarray(kernel.profile(r), dtype=float) * r ** kernel.singularity_order
 
 
-def _exponent(kernel: KernelSpec, extra_power):
-    """Exponent q of the primitive r^q / q of r^extra_power * r^-(n+2s),
-    summed in this order so that the power-law exponents (-2s, 2 - 2s) come
-    out bit for bit."""
-    return (extra_power + 1.0 - kernel.dim) - 2.0 * kernel.s
-
-
-def _ray(kernel: KernelSpec, psi, a, b, extra_power):
-    """integral of r^extra_power * K(r e) over [a, b] along each direction e
-    whose psi is psi (see _ray_psi; None samples a custom profile's psi at
-    the midpoints of _PSI_SUBDIV subcells); a, b and psi broadcast.  The
-    singular power is integrated in closed form against psi."""
-    q = _exponent(kernel, extra_power)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if psi is None:
-        edges = a[..., None] + (b - a)[..., None] * np.linspace(0.0, 1.0, _PSI_SUBDIV + 1)
-        lo, hi = edges[..., :-1], edges[..., 1:]
-        return np.sum(_ray(kernel, _profile_psi(kernel, 0.5 * (lo + hi)),
-                           lo, hi, extra_power), axis=-1)
-    if abs(q) < 1e-12:
-        return psi * (np.log(b) - np.log(a))
-    return psi * (b**q - a**q) / q
-
-
 def _intervals(kernel: KernelSpec, psi, edges, extra_power):
-    """_ray over the consecutive intervals [edges[k], edges[k+1]] of one
-    ray: a frozen psi takes one power per edge and differences the
-    primitive (the same bits as _ray on the pairs); a custom psi is
-    sampled by _ray."""
+    """integral of r^extra_power * K(r e) over the consecutive intervals
+    [edges[..., k], edges[..., k+1]] along each direction e whose psi is psi
+    (see _ray_psi; it broadcasts against the intervals); the last edge may
+    be inf (a tail).  Against a frozen psi the singular power is integrated
+    in closed form, one power of each edge differenced.  A custom profile's
+    psi (None) is sampled at the midpoints of _PSI_SUBDIV subcells of each
+    finite interval, and on a tail [r0, inf) over 480 log-spaced cells out
+    to 1e6 * r0, frozen at its last sample beyond; admissible profiles make
+    that a bounded-relative-error remainder of a vanishing quantity."""
+    edges = np.asarray(edges, dtype=float)
+    if psi is None and np.isinf(edges[..., -1]).any():
+        cells = edges[..., -2:-1] * np.logspace(0.0, 6.0, 481)
+        rf = cells[..., -1:]
+        tail = np.sum(_intervals(kernel, None, cells, extra_power), axis=-1, keepdims=True)
+        tail += _intervals(kernel, _profile_psi(kernel, rf), rf * [1.0, np.inf], extra_power)
+        head = _intervals(kernel, None, edges[..., :-1], extra_power)
+        return np.concatenate([head, tail], axis=-1)
     if psi is None:
-        return _ray(kernel, None, edges[:-1], edges[1:], extra_power)
-    q = _exponent(kernel, extra_power)
+        t = np.linspace(0.0, 1.0, _PSI_SUBDIV + 1)
+        sub = edges[..., :-1, None] + np.diff(edges)[..., None] * t
+        mid = 0.5 * (sub[..., :-1] + sub[..., 1:])
+        return np.sum(_intervals(kernel, _profile_psi(kernel, mid), sub, extra_power), axis=-1)
+    # the primitive r^q / q of r^extra_power * r^-(n+2s), q summed in this
+    # order so that the power-law exponents -2s and 2 - 2s come out bit for bit
+    q = (extra_power + 1.0 - kernel.dim) - 2.0 * kernel.s
     if abs(q) < 1e-12:
         return psi * np.diff(np.log(edges))
     F = edges**q
-    return psi * (F[1:] - F[:-1]) / q
+    return psi * (F[..., 1:] - F[..., :-1]) / q
 
 
-def _ray_tail(kernel: KernelSpec, psi, r0, extra_power):
-    """integral of r^extra_power * K(r e) over [r0, infinity), psi as in
-    _ray; a frozen psi makes it exact.  A custom psi is sampled out to
-    1e6 * r0 and frozen at its last sample beyond; admissible profiles make
-    that a bounded-relative-error remainder of a vanishing quantity."""
-    q = _exponent(kernel, extra_power)
-    if psi is None:
-        edges = np.asarray(r0, dtype=float)[..., None] * np.logspace(0.0, 6.0, 481)
-        rf = edges[..., -1]
-        return (np.sum(_ray(kernel, None, edges[..., :-1], edges[..., 1:], extra_power),
-                       axis=-1)
-                + _ray_tail(kernel, _profile_psi(kernel, rf), rf, extra_power))
-    return psi * np.asarray(r0, dtype=float) ** q / -q
+def _ray(kernel: KernelSpec, psi, a, b, extra_power):
+    """_intervals over the one interval [a, b] (b may be inf); a, b, psi broadcast."""
+    psi = psi if psi is None else np.expand_dims(psi, -1)
+    edges = np.stack(np.broadcast_arrays(a, b), axis=-1)
+    return _intervals(kernel, psi, edges, extra_power)[..., 0]
 
 
 # -- scheme objects ----------------------------------------------------------
@@ -193,14 +180,14 @@ def _near_shell_count(grid: GridSpec) -> int:
 
 def _line_base_weights(kernel: KernelSpec, h: float, J: int, q: int) -> np.ndarray:
     """Pair weights at offsets 1..J: the cell mass of the shells beyond q,
-    moment weights on the q innermost ones."""
+    moment weights on the q innermost ones, the first of them from the
+    origin itself (moment edges 0, e_1, ..., e_q)."""
     psi = _ray_psi(kernel, 1.0)
     edges = (np.arange(J + 1) + 0.5) * h
     w = _intervals(kernel, psi, edges, 0)
     j = np.arange(1, min(q, J) + 1)
-    w[: j.size] = _ray(kernel, psi, edges[: j.size], edges[1 : j.size + 1], 2) / (j * h) ** 2
-    # the innermost weight integrates the moment from the origin itself
-    w[0] = float(_ray(kernel, psi, 0.0, edges[1], 2)) / h**2
+    moment_edges = np.concatenate([[0.0], edges[1 : j.size + 1]])
+    w[: j.size] = _intervals(kernel, psi, moment_edges, 2) / (j * h) ** 2
     return w
 
 
@@ -214,8 +201,8 @@ def _build_line_scheme(kernel, grid):
     return QuadratureScheme(
         weights=_centred(w),
         tail_directions=(np.array([1.0]), np.array([-1.0])),
-        tail_mass=float(_ray_tail(kernel, _ray_psi(kernel, 1.0), T, 0)),
-        tail_upper=lam_up * T ** (-2.0 * kernel.s) / (2.0 * kernel.s),
+        tail_mass=float(_ray(kernel, _ray_psi(kernel, 1.0), T, np.inf, 0)),
+        tail_upper=float(_ray(kernel, lam_up, T, np.inf, 0)),
     )
 
 
@@ -301,9 +288,9 @@ def _square_tail_mass(kernel, R):
     """Kernel mass outside the square |y|_inf > R."""
     _, rmin, psi = _polar_rays(kernel, R)
     if psi is not None:
-        return float(np.mean(_ray_tail(kernel, psi, rmin, 1)) * 2.0 * np.pi)
+        return float(np.mean(_ray(kernel, psi, rmin, np.inf, 1)) * 2.0 * np.pi)
     # a sampled tail costs 480 * _PSI_SUBDIV profile values: 512 directions
-    vals = [_ray_tail(kernel, None, r, 1) for r in rmin[:: _THETA_NODES // 512]]
+    vals = [_ray(kernel, None, r, np.inf, 1) for r in rmin[:: _THETA_NODES // 512]]
     return float(np.mean(vals) * 2.0 * np.pi)
 
 
@@ -369,7 +356,8 @@ def _build_plane_scheme(kernel, grid):
         weights=W,
         tail_directions=(np.array([1.0, 0.0]),),
         tail_mass=_square_tail_mass(kernel, T),
-        tail_upper=lam_up * 2.0 * np.pi * T ** (-2.0 * kernel.s) / (2.0 * kernel.s),
+        # the comparison kernel's mass outside the disc |y| > T, within the square
+        tail_upper=float(_ray(kernel, lam_up * 2.0 * np.pi, T, np.inf, 1)),
         dropped_cross_moment=dropped,
     )
 

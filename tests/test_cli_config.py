@@ -145,6 +145,23 @@ PATH_CASES = {
     "limit-1d-kind": ({"command": "limit", "grid": TORUS_1D, "s_values": [0.9],
                        "kernel": {"kind": "anisotropic"}},
                       2, "the 1-d limit is isotropic: it reads no kernel.matrix"),
+    "probe-harnack-matrix": ({"command": "probe-harnack",
+                              "grid": {**GRID_1D, "dim": 2, "h": 1 / 8},
+                              "kernel": {"matrix": [[2, 0], [0, 1]]}, "s_values": [0.5]},
+                             2, "kernel.matrix needs kind 'anisotropic'"),
+    **{f"limit-2d-{name}": ({"command": "limit", "grid": TORUS_2D, "s_values": [0.9],
+                             "kernel": {**kind, "matrix": [[1, 0], [0, 1]]}},
+                            2, "kernel.matrix is read only with kernel.kind 'anisotropic'")
+       for name, kind in (("gaussian", {"kind": "gaussian"}),
+                          ("fractional", {"kind": "fractional"}), ("no-kind", {}))},
+    **{f"{command}-seed": ({**cfg, "seed": 3},
+                           2, f"{command} does not read config keys: ['seed']")
+       for command, cfg in (("probe-decay", DECAY),
+                            ("probe-harnack", {"command": "probe-harnack", "grid": GRID_1D,
+                                               "s_values": [0.5]}),
+                            ("audit", {"command": "audit", "bounds": BOUNDS}),
+                            ("limit", {"command": "limit", "grid": TORUS_1D,
+                                       "s_values": [0.9]}))},
 }
 
 

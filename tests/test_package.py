@@ -70,3 +70,25 @@ def test_operators_invert_transforms_only_in_the_fft_product():
     stray = [f"operators.py:{line}: {name}" for line, name in _calls(tree, inverses)
              if line not in inside]
     assert not stray, stray
+
+
+def test_quadrature_integrates_the_singular_power_only_in_intervals():
+    # every shell mass, moment and tail is one ray integral, so one function
+    # holds the closed-form primitive r^q / q and its q = 0 logarithm
+    path = Path(fracsys.__file__).parent / "quadrature.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def primitives(tree):
+        powers = {(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                  and isinstance(node.right, ast.Name) and node.right.id == "q"}
+        return powers | set(_calls(tree, {"log"}))
+
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    assert "_ray_tail" not in functions, "quadrature._ray_tail is back"
+    inside = primitives(functions["_intervals"])
+    assert inside, "quadrature._intervals holds no closed-form primitive"
+    stray = [f"quadrature.py:{line}: {what}"
+             for line, what in sorted(primitives(tree) - inside)]
+    assert not stray, stray

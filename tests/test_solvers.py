@@ -116,6 +116,24 @@ class TestLinearDirichlet:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert 0.0 <= report["final_residual"] <= 1e-12
 
+    # the conditioning guard scales with the system b = rhs + load, so large
+    # exterior data solve as well as small ones (u = c exactly for rhs = 0)
+    @pytest.mark.parametrize("c", [1e10, 1e14])
+    def test_large_exterior_data_solve(self, c):
+        grid, k = GridSpec(dim=2, h=1 / 16, radius=1.0), make_fractional_kernel(2, 0.5)
+        v, rep = solve_linear_dirichlet(LinearProblem(k, grid, 0.0, constant_rule([c])))
+        assert np.max(np.abs(np.asarray(v.values) - c)) <= 1e-12 * c
+        assert rep.final_residual <= 1e-12
+
+    def test_large_exterior_data_through_the_cli(self, tmp_path):
+        cfg = {"command": "solve-linear", "grid": {"dim": 2, "h": 1 / 16, "radius": 1.0},
+               "exterior": "constant:[1e10]", "solver": {"rhs": 0},
+               "output_dir": str(tmp_path / "out")}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["final_residual"] <= 1e-12
+
     def test_dense_cap(self):
         with pytest.raises(DomainError):
             solve_linear_dirichlet(LinearProblem(
