@@ -92,17 +92,35 @@ _SHAPES = {**{sec: dict for sec in SECTION_KEYS}, "s_values": list,
            **{k: str for k in ("command", "exterior", "field_profile", "output_dir")}}
 _SHAPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
-# keys a command never reads; set in its config they would be silently
-# ignored, so they are refused like unknown keys.  Only verify draws random
-# numbers; the flows take their exterior data from solver.amplitude.
-_SOLVE_UNREAD = ({f"bounds.{k}" for k in SECTION_KEYS["bounds"]}
-                 | {"field_profile", "s_values", "seed"})
-_FLOW_UNREAD = _SOLVE_UNREAD | {"exterior", "solver.rhs", "solver.levels", "solver.wavenumber"}
-UNREAD_KEYS = {
-    "solve-linear": {f"solver.{k}" for k in SECTION_KEYS["solver"] - {"rhs"}} | _SOLVE_UNREAD,
-    "solve-harmonic": _FLOW_UNREAD | {"solver.epsilon"},
-    "solve-gl": _FLOW_UNREAD,
-    **{command: {"seed"} for command in ("probe-decay", "probe-harnack", "audit", "limit")},
+
+def _reads(*keys) -> set:
+    """The keys every command reads, the given ones, the section of each
+    section.key, and every key of a section named whole."""
+    out = {"command", "schema_version", "output_dir"}
+    for key in keys:
+        out |= {key, key.split(".")[0]}
+        out |= {f"{key}.{k}" for k in SECTION_KEYS.get(key, ())}
+    return out
+
+
+# the keys each command reads (README, "Sections"); any other key set in its
+# config would be silently ignored, so it is refused like an unknown key.  A
+# key a builder inspects counts as read.  Only verify draws random numbers;
+# the flows take their exterior data from solver.amplitude.  Schema 1 still
+# accepts three keys nothing reads: kernel.s on limit, solver.steps on
+# probe-harnack and grid on verify.
+_FLOW_READS = ("grid", "kernel", "solver.amplitude", "solver.steps", "solver.tol")
+READS = {
+    "solve-linear": _reads("grid", "kernel", "exterior", "solver.rhs"),
+    "solve-harmonic": _reads(*_FLOW_READS),
+    "solve-gl": _reads(*_FLOW_READS, "solver.epsilon"),
+    "probe-decay": _reads("grid", "bounds", "field_profile", "kernel.s", "solver.levels"),
+    "probe-harnack": _reads("grid", "kernel", "s_values", "solver.amplitude",
+                            "solver.steps"),
+    "audit": _reads("bounds"),
+    "verify": _reads("seed", "grid"),
+    "limit": _reads("grid", "s_values", "kernel.kind", "kernel.matrix", "kernel.s",
+                    "solver.wavenumber"),
 }
 
 
@@ -153,7 +171,7 @@ class ExperimentConfig:
         if cfg.command not in COMMANDS:
             raise ConfigError(f"unknown command: {cfg.command!r}")
         given = set(raw) | {f"{sec}.{k}" for sec in SECTION_KEYS for k in raw.get(sec, {})}
-        unread = given & UNREAD_KEYS.get(cfg.command, set())
+        unread = given - READS[cfg.command]
         if unread:
             raise ConfigError(f"{cfg.command} does not read config keys: {sorted(unread)}")
         cfg.s_values = tuple(cfg.s_values)

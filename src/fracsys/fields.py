@@ -273,7 +273,7 @@ class SampledField:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape[: self.grid.dim] != self.grid.shape:
+        if vals.shape[: self.grid.dim] != self.grid.shape or vals.ndim > self.grid.dim + 1:
             raise DomainError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape}"
             )

@@ -18,9 +18,9 @@ form, at every node or at one, follows from the polarization identity
 
 The order-s energy is B(u, u) summed over the domain, on every grid: pairs
 with both ends in the domain are counted once, pairs that reach the
-complement (free space only; the torus has none) in full.  Its interior part
-is the same pair sum masked by the interior indicator, through the same
-correlator.
+complement (free space only; the torus has none) in full.  As W is even, the
+interior part needs only W*chi and W*(chi u), chi the interior indicator; on
+the torus, where W*chi = S, it is the whole energy, (1/2) <u, -L u>.
 
 The pointwise identity
 
@@ -106,20 +106,6 @@ def _correlator(W: np.ndarray, shape: tuple, periodic: bool, idx: tuple = ()):
     keep = shape if periodic else tuple(n - k + 1 for n, k in zip(shape, W.shape))
     spectrum = np.conj(np.fft.rfftn(W, s=size, axes=axes))
     return lambda f: _fft_product(f, spectrum, size, axes, keep)
-
-
-def _pair_sum(corr, S, a, b, Ea, Eb):
-    """sum over k of W[k] (a(x) - Ea(x+k)) . (b(x) - Eb(x+k)), summed over
-    components, through the polarization identity.  S is sum(W), or W*chi
-    when Ea, Eb are masked by chi.  Grouping makes it bit-symmetric in a, b."""
-    total = 0.0
-    for c in range(a.shape[-1]):
-        cb = corr(Eb[..., c])
-        ca = cb if Ea is Eb else corr(Ea[..., c])
-        total = total + (S * (a[..., c] * b[..., c])
-                         - (a[..., c] * cb + b[..., c] * ca)
-                         + corr(Ea[..., c] * Eb[..., c]))
-    return total
 
 
 def _window(E: np.ndarray, W: np.ndarray, idx: tuple, periodic: bool):
@@ -268,9 +254,17 @@ def _bilinear(u: SampledField, w: SampledField, scheme, tu: _Table, tw: _Table,
               corr, idx: tuple = ()):
     """B(u, w) and its truncation estimate from the tables tu, tw through
     corr, the correlator of the weights over the tables: at every stored
-    node, or at the node idx that corr evaluates."""
+    node, or at the node idx that corr evaluates; the polarization identity,
+    summed over components, is grouped to be bit-symmetric in u, w."""
     a, b = tu.v[idx], tw.v[idx]
-    acc = 0.5 * _pair_sum(corr, float(np.sum(scheme.weights)), a, b, tu.E, tw.E)
+    S = float(np.sum(scheme.weights))
+    pairs = 0.0
+    for c in range(a.shape[-1]):
+        cb = corr(tw.E[..., c])
+        ca = cb if tu is tw else corr(tu.E[..., c])
+        pairs = pairs + (S * (a[..., c] * b[..., c]) - (a[..., c] * cb + b[..., c] * ca)
+                         + corr(tu.E[..., c] * tw.E[..., c]))
+    acc = 0.5 * pairs
     if tu.g is None or tw.g is None:
         return acc, 2.0 * _far_magnitude(u, tu) * _far_magnitude(w, tw) * scheme.tail_upper
     for gu, gw in zip(tu.g, tw.g):
@@ -316,24 +310,29 @@ class EnergyValue:
 
 def s_energy(u: SampledField, s: float) -> EnergyValue:
     """Energy of order s: h^n sum over the domain of B(u, u).  Pairs with both
-    ends in the domain come in twice at half weight, so the interior part is
-    a quarter of the pair sum masked by the interior indicator chi, and the
-    tail is the rest.  For zero exterior data, and always on the torus, the
-    total is (1/2) <u, -L u>."""
+    ends in the domain come in twice at half weight; W being even, their
+    sum, the interior part, is (1/2) h^n sum_domain u (u W*chi - W*(chi u)),
+    chi the interior indicator, and the tail is the rest.  On the torus
+    W*chi = S, so the interior part is the whole energy, (1/2) <u, -L u>,
+    as is the total in free space for zero exterior data."""
     grid = u.grid
     scheme, t, _ = _tables(u, u, make_fractional_kernel(grid.dim, s))
     corr = _correlator(scheme.weights, t.E.shape[:-1], grid.periodic)
-    B, est = _bilinear(u, u, scheme, t, t, corr)
     inside = grid.interior_mask()
     hvol = grid.h**grid.dim
+    if grid.periodic:
+        chi, Wchi = 1.0, float(np.sum(scheme.weights))
+    else:
+        chi = np.pad(inside, scheme.weights.shape[0] // 2).astype(float)
+        Wchi = corr(chi)
+    pairs = sum(t.v[..., c] * (t.v[..., c] * Wchi - corr(chi * t.E[..., c]))
+                for c in range(u.m))
+    interior = 0.5 * hvol * float(np.sum(pairs[inside]))
+    if grid.periodic:
+        return EnergyValue(interior, 0.0, 0.0)
+    B, est = _bilinear(u, u, scheme, t, t, corr)
     total = hvol * float(np.sum(B[inside]))
     est = hvol * int(np.count_nonzero(inside)) * est
-    if grid.periodic:
-        return EnergyValue(0.5 * total, 0.0, est)
-    chi = np.pad(inside, scheme.weights.shape[0] // 2).astype(float)
-    Em = t.E * chi[..., None]
-    masked = _pair_sum(corr, corr(chi), t.v, t.v, Em, Em)
-    interior = 0.25 * hvol * float(np.sum(masked[inside]))
     return EnergyValue(interior, total - 2.0 * interior, est)
 
 

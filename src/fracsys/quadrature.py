@@ -29,10 +29,10 @@ form):
 * periodic line: image shells are folded in exactly (explicit images plus an
   integral remainder), so 1-d periodic evaluations carry no truncation error
   beyond the origin cell's own images, which stop at _N_IMAGES periods.  The
-  explicit image cells are taken by index, one period of N cells at a time:
-  the primitive is evaluated once per cell edge and differenced
-  (_intervals), and the masses are summed by residue mod N and folded onto
-  the pair weights;
+  weights are built by torus shift: the offsets y > 0 (the window's pair
+  weights, the image cells taken one period of N cells at a time through
+  _intervals, and the remainder) are summed by shift mod N, and one mirror
+  sum adds those at -y, which makes the weights exactly even;
 * 2-d torus: the cell weights above on the principal window |j|_inf <= N//2
   plus the exact lattice images h^2 sum_{n != 0} K(hj + nP), summed by Ewald
   splitting, folded onto the torus; this needs a power-law kernel (a custom
@@ -199,7 +199,7 @@ def _build_line_scheme(kernel, grid):
     T = (J + 0.5) * h
     lam_up = (1.0 - kernel.s) * kernel.Lam
     return QuadratureScheme(
-        weights=_centred(w),
+        weights=np.concatenate([w[::-1], [0.0], w]),
         tail_directions=(np.array([1.0]), np.array([-1.0])),
         tail_mass=float(_ray(kernel, _ray_psi(kernel, 1.0), T, np.inf, 0)),
         tail_upper=float(_ray(kernel, lam_up, T, np.inf, 0)),
@@ -212,37 +212,31 @@ def _build_periodic_line_scheme(kernel, grid):
     J = N // 2
     q = _near_shell_count(grid)
     psi = _ray_psi(kernel, 1.0)
-    w = _line_base_weights(kernel, h, J, q)
-    # the image cells, centred at i h for i = J+1 .. _N_IMAGES N + J, one
-    # period (N cells, N + 1 edges) at a time, summed by residue r = i mod N
-    mass = np.zeros(N)
+    # W[r] first collects the offsets y > 0 at torus shift r: the image
+    # cells, centred at i h for i = J+1 .. _N_IMAGES N + J, one period (N
+    # cells, N + 1 edges) at a time, summed by shift r = i mod N
+    W = np.zeros(N)
     edges = np.arange(N + 1) + (J + 0.5)
     for _ in range(_N_IMAGES):
-        mass += _intervals(kernel, psi, edges * h, 0)
+        W += _intervals(kernel, psi, edges * h, 0)
         edges += N
-    mass = np.roll(mass, J + 1)
-    # r = 0: the origin's images, on the quadratic model below; the others
-    # fold onto the pair weight j = min(r, N - r), which on even N holds the
-    # half-period shell, its own mirror, once
-    w += mass[1 : J + 1]
-    w[: N - 1 - J] += mass[N - 1 : J : -1]
+    W = np.roll(W, J + 1)
+    W[1 : J + 1] += _line_base_weights(kernel, h, J, q)
     # images beyond: 1/P times the integral over mu >= mu_inf of the cell
     # mass, i.e. of the tail mass r K(r) / (2s) (psi frozen) over one cell,
-    # for the families at +y and at -y (the latter folded as above)
-    y = np.arange(1, J + 1) * h
-    mu_inf = (_N_IMAGES + 0.5) * P + np.concatenate([y, -y[: N - 1 - J]])
-    cell = _ray(kernel, psi, mu_inf - 0.5 * h, mu_inf + 0.5 * h, 1) / (2.0 * kernel.s * P)
-    w += cell[:J]
-    w[: N - 1 - J] += cell[J:]
-    # images of the origin cell at k*P: quadratic model onto the first node
+    # at each shift's signed offset (r up to J, r - N above)
+    d = np.arange(N)
+    d[J + 1 :] -= N
+    mu_inf = (_N_IMAGES + 0.5) * P + d * h
+    W += _ray(kernel, psi, mu_inf - 0.5 * h, mu_inf + 0.5 * h, 1) / (2.0 * kernel.s * P)
+    # images of the origin cell at k*P: quadratic model onto shift 1; the
+    # origin cell itself, shift 0, carries none
     kk = np.arange(1, _N_IMAGES + 1) * P
-    w[0] += float(np.sum(kernel(kk) * h**3 / 12.0)) / h**2
-    return QuadratureScheme(weights=_torus_fold(_centred(w), N))
-
-
-def _centred(w: np.ndarray) -> np.ndarray:
-    """Pair weights at offsets 1..J as the centred offset array [-J..J]."""
-    return np.concatenate([w[::-1], [0.0], w])
+    W[1] += float(np.sum(kernel(kk) * h**3 / 12.0)) / h**2
+    W[0] = 0.0
+    # the mirror W[-r mod N] adds the offsets y < 0: an even N's half-period
+    # shift gets both members of its pair, and the weights are exactly even
+    return QuadratureScheme(weights=W + np.roll(W[::-1], 1))
 
 
 def _torus_fold(W: np.ndarray, N: int) -> np.ndarray:

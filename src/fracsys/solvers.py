@@ -102,8 +102,8 @@ class GLConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DomainError("epsilon must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.s < 1.0:
             raise DomainError(f"order parameter out of range: s={self.s}")
 
@@ -211,6 +211,8 @@ def _sphere_flow(grid: GridSpec, g: ExteriorRule, s: float, m: int,
         tau = default_flow_step(kernel, grid)
     elif not (np.isfinite(tau) and tau > 0.0):
         raise DomainError(f"step size must be positive and finite, got {tau}")
+    if not np.isfinite(tol):
+        raise DomainError(f"residual tolerance must be finite, got {tol}")
     _check_unit_exterior(g, grid, m)
     op = assemble_dirichlet(kernel, grid, g, m=m)
     extension = op.solve(op.load)

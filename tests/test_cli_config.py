@@ -107,6 +107,31 @@ def test_probe_decay_refuses_an_order_out_of_range(tmp_path, capsys):
 DECAY = {"command": "probe-decay", "grid": {"dim": 1, "h": 1 / 64, "radius": 1.5},
          "bounds": BOUNDS, "solver": {"levels": 3}}
 
+HARNACK = {"command": "probe-harnack", "grid": GRID_1D, "s_values": [0.5]}
+LIMIT = {"command": "limit", "grid": TORUS_1D, "s_values": [0.9]}
+
+# (base config, case name, keys added, the keys refused): keys a command
+# never reads, beside the seed rows below
+UNREAD_CASES = [
+    (DECAY, "kernel", {"kernel": {"kind": "anisotropic", "matrix": [[2.0]], "Lambda": 99}},
+     ["kernel.Lambda", "kernel.kind", "kernel.matrix"]),
+    (DECAY, "exterior", {"exterior": "zero"}, ["exterior"]),
+    (DECAY, "s_values", {"s_values": [0.5]}, ["s_values"]),
+    (DECAY, "steps", {"solver": {"levels": 3, "steps": 5}}, ["solver.steps"]),
+    ({"command": "audit", "bounds": BOUNDS}, "grid", {"grid": GRID_1D},
+     ["grid", "grid.dim", "grid.h", "grid.radius"]),
+    ({"command": "audit", "bounds": BOUNDS}, "kernel-s", {"kernel": {"s": 0.5}},
+     ["kernel", "kernel.s"]),
+    ({"command": "audit", "bounds": BOUNDS}, "steps", {"solver": {"steps": 5}},
+     ["solver", "solver.steps"]),
+    (HARNACK, "exterior", {"exterior": "sign"}, ["exterior"]),
+    (HARNACK, "bounds", {"bounds": BOUNDS}, ["bounds", "bounds.M", "bounds.a", "bounds.a_star"]),
+    (LIMIT, "exterior", {"exterior": "zero"}, ["exterior"]),
+    (LIMIT, "field_profile", {"field_profile": "sign"}, ["field_profile"]),
+    ({"command": "verify"}, "kernel", {"kernel": {"s": 0.5}}, ["kernel", "kernel.s"]),
+    ({"command": "verify"}, "exterior", {"exterior": "zero"}, ["exterior"]),
+]
+
 # (config, exit status, message on stderr or the ledger's fitted decay rate:
 # |x|^(1/2) and x halve their oscillation by 2^(-1/2) and 2^(-1) per level)
 PATH_CASES = {
@@ -162,6 +187,9 @@ PATH_CASES = {
                             ("audit", {"command": "audit", "bounds": BOUNDS}),
                             ("limit", {"command": "limit", "grid": TORUS_1D,
                                        "s_values": [0.9]}))},
+    **{f"{cfg['command']}-unread-{name}": ({**cfg, **extra}, 2,
+                                           f"{cfg['command']} does not read config keys: {keys}")
+       for cfg, name, extra, keys in UNREAD_CASES},
 }
 
 

@@ -142,6 +142,14 @@ class TestSampledField:
             SampledField(g, vals, zero_rule(), bound=1.0)
         SampledField(g, vals, zero_rule(), bound=2.0)
 
+    @pytest.mark.parametrize("extra", [(2, 3), (1, 1)], ids=["2x3", "1x1"])
+    def test_rejects_more_than_one_trailing_axis(self, extra):
+        # a (33, 2, 3) array would read as m = 3 and fail later in numpy
+        g = _grid(h=1 / 16)
+        with pytest.raises(DomainError, match="does not match grid"):
+            SampledField(g, np.zeros((*g.shape, *extra)), zero_rule())
+        assert SampledField(g, np.zeros((*g.shape, 3)), zero_rule()).m == 3
+
     def test_values_immutable(self):
         f = constant_field(_grid(h=0.25), [1.0, 0.0])
         with pytest.raises(ValueError):

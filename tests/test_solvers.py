@@ -282,6 +282,28 @@ class TestGinzburgLandau:
         with pytest.raises(DomainError):
             GLConfig(epsilon=-1.0, s=0.5)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, eps):
+        # a NaN penalty would end the flow after 0 steps with a NaN residual
+        with pytest.raises(DomainError, match="epsilon must be positive and finite"):
+            GLConfig(epsilon=eps, s=0.5)
+
+
+class TestNonFiniteTolerance:
+    """A NaN tolerance fails every residual comparison, so the flows would
+    return the unconverged start after 0 steps; tol = 0 spends the budget."""
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["harmonic", "gl"])
+    def test_refused(self, relaxed, tol):
+        grid = grid_b1(h=1 / 32)
+        with pytest.raises(DomainError, match="tolerance must be finite"):
+            if relaxed:
+                ginzburg_landau_solve(GLConfig(epsilon=1e-2, s=0.5, tol=tol),
+                                      phase_rule(), grid, m=2)
+            else:
+                gradient_flow_s_harmonic(grid, phase_rule(), 0.5, m=2, tol=tol)
+
 
 class TestEulerLagrangeResidual:
     def test_constant_unit_field(self):
