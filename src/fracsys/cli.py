@@ -36,10 +36,6 @@ from .solvers import (GLConfig, LinearProblem, gradient_flow_s_harmonic,
 from .verify import (counterexample_residual, s_limit_anisotropic, s_limit_isotropic,
                      sign_algebra_check, square_identity_check)
 
-COMMANDS = ("solve-linear", "solve-harmonic", "solve-gl", "probe-decay",
-            "probe-harnack", "audit", "verify", "limit")
-
-
 class ConfigError(Exception):
     pass
 
@@ -103,27 +99,6 @@ def _reads(*keys) -> set:
     return out
 
 
-# the keys each command reads (README, "Sections"); any other key set in its
-# config would be silently ignored, so it is refused like an unknown key.  A
-# key a builder inspects counts as read.  Only verify draws random numbers;
-# the flows take their exterior data from solver.amplitude.  Schema 1 still
-# accepts three keys nothing reads: kernel.s on limit, solver.steps on
-# probe-harnack and grid on verify.
-_FLOW_READS = ("grid", "kernel", "solver.amplitude", "solver.steps", "solver.tol")
-READS = {
-    "solve-linear": _reads("grid", "kernel", "exterior", "solver.rhs"),
-    "solve-harmonic": _reads(*_FLOW_READS),
-    "solve-gl": _reads(*_FLOW_READS, "solver.epsilon"),
-    "probe-decay": _reads("grid", "bounds", "field_profile", "kernel.s", "solver.levels"),
-    "probe-harnack": _reads("grid", "kernel", "s_values", "solver.amplitude",
-                            "solver.steps"),
-    "audit": _reads("bounds"),
-    "verify": _reads("seed", "grid"),
-    "limit": _reads("grid", "s_values", "kernel.kind", "kernel.matrix", "kernel.s",
-                    "solver.wavenumber"),
-}
-
-
 @dataclass
 class ExperimentConfig:
     command: str
@@ -171,7 +146,7 @@ class ExperimentConfig:
         if cfg.command not in COMMANDS:
             raise ConfigError(f"unknown command: {cfg.command!r}")
         given = set(raw) | {f"{sec}.{k}" for sec in SECTION_KEYS for k in raw.get(sec, {})}
-        unread = given - READS[cfg.command]
+        unread = given - COMMANDS[cfg.command][1]
         if unread:
             raise ConfigError(f"{cfg.command} does not read config keys: {sorted(unread)}")
         cfg.s_values = tuple(cfg.s_values)
@@ -228,7 +203,11 @@ class ExperimentConfig:
                             M=_number("bounds.M", b["M"]))
 
 
-def _phase_rule(amplitude: float):
+def _phase_rule(cfg: ExperimentConfig):
+    """The flows' unit exterior data (cos th, sin th), th = amplitude tanh x_1,
+    amplitude from solver.amplitude."""
+    amplitude = _number("solver.amplitude", cfg.solver.get("amplitude", 0.6))
+
     def g(pts):
         th = amplitude * np.tanh(pts[:, 0])
         return np.stack([np.cos(th), np.sin(th)], axis=-1)
@@ -252,16 +231,20 @@ def _named_profile(name: str, grid: GridSpec) -> SampledField:
 # -- command implementations ---------------------------------------------------
 
 
+def _write_solution(out: Path, fld: SampledField, report):
+    """A solve command's field, as CSV and FSF1, and its report.json."""
+    write_field_csv(out / "field.csv", fld)
+    write_field_fsf1(out / "field.fsf1", fld)
+    emit_report(report, out / "report.json")
+
+
 def _cmd_solve_linear(cfg: ExperimentConfig, out: Path) -> int:
     grid = cfg.build_grid()
     _require_fsf1_grid(grid)
     kernel = cfg.build_kernel(grid.dim)
     rule = parse_rule(cfg.exterior)
     rhs = _number("solver.rhs", cfg.solver.get("rhs", 1.0))
-    fld, report = solve_linear_dirichlet(LinearProblem(kernel, grid, rhs, rule))
-    write_field_csv(out / "field.csv", fld)
-    write_field_fsf1(out / "field.fsf1", fld)
-    emit_report(report, out / "report.json")
+    _write_solution(out, *solve_linear_dirichlet(LinearProblem(kernel, grid, rhs, rule)))
     return 0
 
 
@@ -284,8 +267,7 @@ def _solve_flow(cfg: ExperimentConfig, out: Path, relaxed: bool) -> int:
     _require_fsf1_grid(grid)
     _require_fractional(cfg)
     s = cfg.build_kernel(grid.dim).s
-    amp = _number("solver.amplitude", cfg.solver.get("amplitude", 0.6))
-    g = _phase_rule(amp)
+    g = _phase_rule(cfg)
     steps = _number("solver.steps", cfg.solver.get("steps", 20000), int)
     tol = _number("solver.tol", cfg.solver.get("tol", 1e-6))
     if relaxed:
@@ -293,11 +275,8 @@ def _solve_flow(cfg: ExperimentConfig, out: Path, relaxed: bool) -> int:
                       max_steps=steps, tol=tol)
         fld, report = ginzburg_landau_solve(gl, g, grid, m=2)
     else:
-        fld, report = gradient_flow_s_harmonic(grid, g, s, m=2, steps=steps,
-                                               tol=tol)
-    write_field_csv(out / "field.csv", fld)
-    write_field_fsf1(out / "field.fsf1", fld)
-    emit_report(report, out / "report.json")
+        fld, report = gradient_flow_s_harmonic(grid, g, s, m=2, steps=steps, tol=tol)
+    _write_solution(out, fld, report)
     write_csv(out / "energy_trace.csv", ["step", "energy"],
               list(enumerate(report.energy_trace)))
     return 0
@@ -320,8 +299,7 @@ def _cmd_probe_harnack(cfg: ExperimentConfig, out: Path) -> int:
     _require_fractional(cfg)
     cfg.build_kernel(grid.dim)  # refuses a kernel.matrix the family would not read
     s_values = _orders(cfg, (0.5, 0.7, 0.9))
-    amp = _number("solver.amplitude", cfg.solver.get("amplitude", 0.6))
-    builder = supersolution_family(grid, _phase_rule(amp), m=2)
+    builder = supersolution_family(grid, _phase_rule(cfg), m=2)
     report = harnack_sweep(builder, s_values, (np.zeros(grid.dim), grid.radius / 2.0))
     emit_report(report, out / "harnack.json")
     return 0
@@ -400,15 +378,27 @@ def _cmd_limit(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-_DISPATCH = {
-    "solve-linear": _cmd_solve_linear,
-    "solve-harmonic": lambda cfg, out: _solve_flow(cfg, out, relaxed=False),
-    "solve-gl": lambda cfg, out: _solve_flow(cfg, out, relaxed=True),
-    "probe-decay": _cmd_probe_decay,
-    "probe-harnack": _cmd_probe_harnack,
-    "audit": _cmd_audit,
-    "verify": _cmd_verify,
-    "limit": _cmd_limit,
+# every command: its runner and the keys it reads (README, "Sections").  Any
+# other key set in its config would be silently ignored, so it is refused
+# like an unknown key.  A key a builder inspects counts as read.  Only verify
+# draws random numbers; the flows take their exterior data from
+# solver.amplitude.  Schema 1 still accepts three keys nothing reads:
+# kernel.s on limit, solver.steps on probe-harnack and grid on verify.
+_FLOW_READS = ("grid", "kernel", "solver.amplitude", "solver.steps", "solver.tol")
+COMMANDS = {
+    "solve-linear": (_cmd_solve_linear, _reads("grid", "kernel", "exterior", "solver.rhs")),
+    "solve-harmonic": (lambda cfg, out: _solve_flow(cfg, out, relaxed=False),
+                       _reads(*_FLOW_READS)),
+    "solve-gl": (lambda cfg, out: _solve_flow(cfg, out, relaxed=True),
+                 _reads(*_FLOW_READS, "solver.epsilon")),
+    "probe-decay": (_cmd_probe_decay, _reads("grid", "bounds", "field_profile", "kernel.s",
+                                             "solver.levels")),
+    "probe-harnack": (_cmd_probe_harnack, _reads("grid", "kernel", "s_values",
+                                                 "solver.amplitude", "solver.steps")),
+    "audit": (_cmd_audit, _reads("bounds")),
+    "verify": (_cmd_verify, _reads("seed", "grid")),
+    "limit": (_cmd_limit, _reads("grid", "s_values", "kernel.kind", "kernel.matrix",
+                                 "kernel.s", "solver.wavenumber")),
 }
 
 
@@ -425,7 +415,7 @@ def main(argv=None) -> int:
                                     out_override=args.out)
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return _DISPATCH[cfg.command](cfg, out)
+        return COMMANDS[cfg.command][0](cfg, out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

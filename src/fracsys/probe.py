@@ -180,9 +180,11 @@ def supersolution_family(grid: GridSpec, g, m: int = 2):
         rho = np.zeros(m)
         rho[0] = 0.9 * (1.0 - l)
         const = 0.5 * M * M + (1.0 - l) * M
-        hvals = const - 0.5 * np.sum(vals * vals, axis=1) - vals @ rho
-        rule = g.mapped(lambda v: (const - 0.5 * np.sum(v * v, axis=1) - v @ rho)[:, None], m)
-        h = SampledField(grid, hvals.reshape(*grid.shape, 1), rule)
+
+        def h_of(v):
+            return (const - 0.5 * np.sum(v * v, axis=1) - v @ rho)[:, None]
+
+        h = SampledField(grid, h_of(vals).reshape(*grid.shape, 1), g.mapped(h_of, m))
         return h, kernel
 
     return build

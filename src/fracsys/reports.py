@@ -3,12 +3,14 @@
 JSON output is diffable: keys sorted, floats rendered with 17 significant
 digits, no locale or timestamp dependence, so a fixed seed and config yield
 byte-identical artifacts.  Fields serialize to CSV (node coordinates plus m
-values) and to a flat binary format:
+values) and to a flat little-endian binary format, FSF1: one header,
+struct format "<4sii{n}id",
 
-    magic "FSF1" | int32 n | int32 m | int32 dims[n] | float64 h |
-    float64 values, C order, shape dims x m, little endian
+    magic "FSF1" | int32 n | int32 m | int32 dims[n] | float64 h
 
-Grids are origin centered, so coordinates are implied by dims and h.
+then float64 values, C order, shape dims x m.  That one format writes the
+header and reads it back.  Grids are origin centered, so coordinates are
+implied by dims and h.
 """
 
 from __future__ import annotations
@@ -36,60 +38,40 @@ __all__ = [
 _MAGIC = b"FSF1"
 
 
-def _canonicalize(obj):
+def _header(n: int) -> struct.Struct:
+    """The FSF1 header of an n-d grid: magic, n, m, dims[n], h."""
+    return struct.Struct(f"<4sii{n}id")
+
+
+def _render(obj) -> str:
     # a SampledField is a dataclass too, whose exterior rule holds functions:
     # it is summarized before the generic dataclass branch can recurse into it
     if isinstance(obj, SampledField):
-        return {"grid": _canonicalize(obj.grid), "m": obj.m,
-                "exterior": obj.exterior.kind}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        d = {}
-        for f in dataclasses.fields(obj):
-            d[f.name] = _canonicalize(getattr(obj, f.name))
-        return d
+        obj = {"grid": obj.grid, "m": obj.m, "exterior": obj.exterior.kind}
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {str(k): _canonicalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonicalize(v) for v in obj]
+        items = {str(k): v for k, v in obj.items()}  # keys equal after str(): last wins
+        return "{" + ", ".join(f"{json.dumps(k)}: {_render(items[k])}"
+                               for k in sorted(items)) + "}"
     if isinstance(obj, np.ndarray):
-        return [_canonicalize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return _FloatLiteral(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
-class _FloatLiteral(float):
-    pass
-
-
-def _format_float(x: float) -> str:
-    # JSON has no nan/inf literals; render them as strings, still diffable
-    if x != x:
-        return '"nan"'
-    if x in (float("inf"), float("-inf")):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_render, obj)) + "]"
+    if isinstance(obj, (float, np.floating)):
+        # JSON has no nan/inf literals; render them as strings, still diffable
+        x = float(obj)
+        if math.isfinite(x):
+            return format(x, ".17g")
+        return '"nan"' if x != x else ('"inf"' if x > 0 else '"-inf"')
+    if isinstance(obj, (np.integer, np.bool_)):
+        obj = obj.item()
+    return json.dumps(obj)
 
 
 def canonical_json(obj) -> str:
     """Serialize with sorted keys and fixed 17-significant-digit floats."""
-    tree = _canonicalize(obj)
-
-    def render(node):
-        if isinstance(node, _FloatLiteral):
-            return _format_float(node)
-        if isinstance(node, dict):
-            items = sorted(node.items())
-            return "{" + ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in items) + "}"
-        if isinstance(node, list):
-            return "[" + ", ".join(render(v) for v in node) + "]"
-        return json.dumps(node)
-
-    return render(tree) + "\n"
+    return _render(obj) + "\n"
 
 
 def _csv_cell(v) -> str:
@@ -163,15 +145,9 @@ def write_field_fsf1(path, field: SampledField) -> Path:
     opened."""
     path = Path(path)
     grid = field.grid
-    dims = grid.shape
     _require_fsf1_grid(grid)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<i", grid.dim))
-        fh.write(struct.pack("<i", field.m))
-        for d in dims:
-            fh.write(struct.pack("<i", d))
-        fh.write(struct.pack("<d", grid.h))
+        fh.write(_header(grid.dim).pack(_MAGIC, grid.dim, field.m, *grid.shape, grid.h))
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
     return path
 
@@ -185,18 +161,17 @@ def read_field_fsf1(path, exterior="zero") -> SampledField:
     if raw[:4] != _MAGIC:
         raise DomainError("not a field file (bad magic)")
     n, m = struct.unpack_from("<ii", raw, 4) if len(raw) >= 12 else (0, 0)
-    off = 20 + 4 * max(n, 0)
-    if len(raw) < off:
-        raise DomainError(f"FSF1 header needs {off} bytes, file has {len(raw)}")
-    dims = struct.unpack_from(f"<{max(n, 0)}i", raw, 12)
-    (h,) = struct.unpack_from("<d", raw, off - 8)
+    header = _header(max(n, 0))
+    if len(raw) < header.size:
+        raise DomainError(f"FSF1 header needs {header.size} bytes, file has {len(raw)}")
+    _, _, _, *dims, h = header.unpack_from(raw)
     if min(n, m, *dims) < 1:
-        raise DomainError(f"FSF1 n = {n}, m = {m} and dims {list(dims)} must be at least 1")
+        raise DomainError(f"FSF1 n = {n}, m = {m} and dims {dims} must be at least 1")
     payload = math.prod(dims) * m * 8
-    if len(raw) - off != payload:
-        raise DomainError(f"FSF1 payload of {list(dims)} x {m} float64 needs {payload} bytes, "
-                          f"file has {len(raw) - off}")
-    vals = np.frombuffer(raw, dtype="<f8", offset=off).reshape(*dims, m)
+    if len(raw) - header.size != payload:
+        raise DomainError(f"FSF1 payload of {dims} x {m} float64 needs {payload} bytes, "
+                          f"file has {len(raw) - header.size}")
+    vals = np.frombuffer(raw, dtype="<f8", offset=header.size).reshape(*dims, m)
     grid = _fsf1_grid(n, dims, h)
     rule = parse_rule(exterior) if isinstance(exterior, str) else exterior
     return SampledField(grid, vals.copy(), rule)

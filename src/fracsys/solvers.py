@@ -92,9 +92,9 @@ class SolveReport:
 @dataclass(frozen=True)
 class GLConfig:
     """Relaxation parameters: penalty strength epsilon, order s, the step
-    budget and the residual tolerance.  The pseudo-time step starts at
-    default_flow_step; the flow halves it when a step would raise the
-    energy."""
+    budget (a non-negative integer) and the residual tolerance.  The
+    pseudo-time step starts at default_flow_step; the flow halves it when a
+    step would raise the energy."""
 
     epsilon: float
     s: float
@@ -203,8 +203,9 @@ def _sphere_flow(grid: GridSpec, g: ExteriorRule, s: float, m: int,
     and tau halved; _MAX_REJECTIONS in a row raise SolverError.  An accepted
     trial's F is the next step's, so a step costs one apply_neg_lk.  Stops
     when the residual falls below tol relative to its first value (or to
-    the rounding scale of the operator) or after `steps` accepted steps.
-    Returns (field, report).
+    the rounding scale of the operator) or after `steps` accepted steps;
+    DomainError when steps is not a non-negative integer or tol is not
+    finite.  Returns (field, report).
     """
     kernel = make_fractional_kernel(grid.dim, s)
     if tau is None:
@@ -213,6 +214,8 @@ def _sphere_flow(grid: GridSpec, g: ExteriorRule, s: float, m: int,
         raise DomainError(f"step size must be positive and finite, got {tau}")
     if not np.isfinite(tol):
         raise DomainError(f"residual tolerance must be finite, got {tol}")
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise DomainError(f"step budget must be a non-negative integer, got {steps}")
     _check_unit_exterior(g, grid, m)
     op = assemble_dirichlet(kernel, grid, g, m=m)
     extension = op.solve(op.load)
@@ -284,9 +287,9 @@ def gradient_flow_s_harmonic(grid: GridSpec, g: ExteriorRule, s: float,
     shifted circulant P circ(1/(1 + tau (diagonal - symbol))) P.
 
     Stops when the tangential residual |(-Delta)^s u - u (u . (-Delta)^s u)|
-    falls below tol relative to its initial value, or the step budget runs
-    out.  Returns (field, report); the energy trace lists the order-s energy
-    per accepted step.
+    falls below tol relative to its initial value, or the budget of steps (a
+    non-negative integer) runs out.  Returns (field, report); the energy
+    trace lists the order-s energy per accepted step.
     """
     def advance(op, u, G, tau):
         P = _tangent(u)

@@ -92,3 +92,41 @@ def test_quadrature_integrates_the_singular_power_only_in_intervals():
     stray = [f"quadrature.py:{line}: {what}"
              for line, what in sorted(primitives(tree) - inside)]
     assert not stray, stray
+
+
+def test_cli_names_its_commands_in_one_table():
+    # every per-command rule (runner, keys read) sits in cli.COMMANDS, so no
+    # other literal in cli.py may list the command names
+    from fracsys import cli
+
+    path = Path(cli.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set(cli.COMMANDS)
+
+    def listed(node):
+        elts = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", [])
+        return {e.value for e in elts if isinstance(e, ast.Constant)} & names
+
+    tables = [node for node in ast.walk(tree)
+              if isinstance(node, (ast.Dict, ast.Tuple, ast.List, ast.Set))
+              and len(listed(node)) > 1]
+    commands = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [ast.unparse(t) for t in node.targets] == ["COMMANDS"])
+    assert tables == [commands], [f"cli.py:{node.lineno}: {sorted(listed(node))}"
+                                  for node in tables]
+
+
+def test_readme_reads_table_matches_the_cli():
+    # README's "reads" table names, per command, the keys cli.COMMANDS lets
+    # it read, beside the command, schema_version and output_dir all read
+    from fracsys import cli
+
+    readme = (Path(fracsys.__file__).parents[2] / "README.md").read_text()
+    table = readme[readme.index("| command | reads |"):].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        command, reads = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[command.strip("`")] = [key.strip("`*") for key in reads.split(", ")]
+    assert set(rows) == set(cli.COMMANDS)
+    for command, (_, reads) in cli.COMMANDS.items():
+        assert cli._reads(*rows[command]) == reads, command
