@@ -8,9 +8,9 @@ solver parameters, output directory and seed; the command may also be named
 in the config and overridden on the command line.
 
 Exit status: 0 when every verdict passes, 1 when a check fails, 2 on a
-configuration error, 3 when a solver fails (its diagnostics go to
-error.json in the output directory).  Fixed seed and config produce
-byte-identical output files.
+configuration error, 3 when a solver fails or a floating-point operation
+overflows or turns invalid (the diagnostics go to error.json in the output
+directory).  Fixed seed and config produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -415,16 +415,17 @@ def main(argv=None) -> int:
                                     out_override=args.out)
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[cfg.command][0](cfg, out)
+        with np.errstate(over="raise", invalid="raise"):
+            return COMMANDS[cfg.command][0](cfg, out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
+    except (SolverError, FloatingPointError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
-        emit_report({"message": str(exc), "diagnostics": exc.diagnostics},
+        emit_report({"message": str(exc), "diagnostics": getattr(exc, "diagnostics", {})},
                     out / "error.json")
         return 3
 

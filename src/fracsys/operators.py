@@ -43,14 +43,11 @@ stored block per grid and width, read-only.  A table that holds only zeros
 (the load of zero exterior data) is not correlated: its correlation is 0.
 
 Evaluations are pure functions of immutable inputs; applying them at many
-points concurrently needs no shared mutable state.  The one mutable piece is
-AssembledOperator.solve_iterations, the log of conjugate-gradient counts from
-which solve_linear_dirichlet reports its solve's iterations.
+points concurrently needs no shared mutable state.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -383,14 +380,18 @@ def _cg(matvec, precondition, b: np.ndarray, condition_estimate: float):
     precondition is z = M^(-1) r for a symmetric positive definite M.  Stops
     when the unpreconditioned residual has ||r_j||_2 <= 1e-13 ||b_j||_2 for
     every column j; a column that gets there keeps its x while the others go
-    on.  Returns (x, iterations).  SolverError, carrying the iteration count
+    on.  Each column runs scaled by a power of two that brings its max below 1,
+    which is exact, so the squared norms cannot overflow for any finite b.
+    Returns (x, iterations).  SolverError, carrying the iteration count
     and condition_estimate, on breakdown (p.Ap <= 0: A is not positive
     definite) or when n (the number of unknowns) iterations do not reach the
     tolerance."""
     if not np.all(np.isfinite(b)):
         raise SolverError("right-hand side of the interior system is not finite",
                           condition_estimate=condition_estimate)
-    r = b.reshape(b.shape[0], -1).copy()
+    r = b.reshape(b.shape[0], -1)
+    _, e = np.frexp(np.max(np.abs(r), axis=0))
+    r = np.ldexp(r, -e)
     x = np.zeros_like(r)
     p = z = precondition(r)
     rr = np.sum(r * r, axis=0)
@@ -400,7 +401,7 @@ def _cg(matvec, precondition, b: np.ndarray, condition_estimate: float):
     while True:
         active = rr > goal
         if not np.any(active):
-            return x.reshape(b.shape), k
+            return np.ldexp(x, e).reshape(b.shape), k
         if k == r.shape[0]:
             raise SolverError(f"conjugate gradients did not converge in {k} iterations",
                               iterations=k, condition_estimate=condition_estimate)
@@ -449,7 +450,7 @@ class AssembledOperator:
     field folded into load, is 0 on them and the rule, evaluated once, on
     every other node; hvol is the node volume, for the quadratic energy.
     Every interior solve goes through solve (preconditioned conjugate
-    gradients; solve_iterations logs each one's iteration count); field
+    gradients, returning the iteration count with the solution); field
     writes interior values into data.  A is gathered only as the oracle."""
 
     grid: GridSpec
@@ -465,8 +466,6 @@ class AssembledOperator:
     symbol: np.ndarray
     fft_shape: tuple
     offdiag_sum: float
-    solve_iterations: list = dataclasses.field(default_factory=list, init=False,
-                                               repr=False)
 
     @property
     def A(self) -> np.ndarray:
@@ -517,13 +516,11 @@ class AssembledOperator:
     def apply_neg_lk(self, u_int: np.ndarray) -> np.ndarray:
         return self.matvec(u_int) - self.load
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^(-1) b by preconditioned conjugate gradients on all columns of b
-        at once (see _cg); SolverError when A is not positive definite or CG
-        stalls."""
-        x, k = _cg(self.matvec, self.precondition, b, self.condition_estimate)
-        self.solve_iterations.append(k)
-        return x
+    def solve(self, b: np.ndarray):
+        """(A^(-1) b, iterations) by preconditioned conjugate gradients on all
+        columns of b at once (see _cg); SolverError when A is not positive
+        definite or CG stalls."""
+        return _cg(self.matvec, self.precondition, b, self.condition_estimate)
 
     def inverse_norm_bound(self) -> float:
         """Upper bound on ||A^(-1)||_inf.  A is an M-matrix, so A^(-1) >= 0 and

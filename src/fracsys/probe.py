@@ -173,7 +173,7 @@ def supersolution_family(grid: GridSpec, g, m: int = 2):
     def build(s):
         kernel = make_fractional_kernel(grid.dim, s)
         op = assemble_dirichlet(kernel, grid, g, m=m)
-        u = op.field(op.solve(op.load))
+        u = op.field(op.solve(op.load)[0])
         vals = np.asarray(u.values).reshape(-1, m)
         M = max(1.0, float(np.max(np.linalg.norm(vals, axis=1))))
         l = 0.5 * M

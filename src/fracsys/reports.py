@@ -15,10 +15,10 @@ implied by dims and h.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import struct
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +48,8 @@ def _render(obj) -> str:
     # it is summarized before the generic dataclass branch can recurse into it
     if isinstance(obj, SampledField):
         obj = {"grid": obj.grid, "m": obj.m, "exterior": obj.exterior.kind}
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}  # keys equal after str(): last wins
         return "{" + ", ".join(f"{json.dumps(k)}: {_render(items[k])}"

@@ -1,12 +1,17 @@
 """Refusals and solver guards, each reached by one input: the flows' step
-budget, the conjugate-gradient guards, the KernelSpec refusals and the
-linear solve's conditioning guard."""
+budget, the conjugate-gradient guards, the KernelSpec refusals, the
+linear solve's conditioning guard and the CLI's floating-point guard."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracsys
 from fracsys import (DomainError, GLConfig, GridSpec, KernelSpec, LinearProblem,
                      SolverError, callback_rule, ginzburg_landau_solve,
                      gradient_flow_s_harmonic, make_fractional_kernel,
@@ -85,14 +90,26 @@ class TestKernelSpecRefusals:
 
 
 def test_linear_solve_conditioning_guard():
-    # |b| = 1e200 overflows CG's squared norms to inf, so CG stops at x = 0
-    # after no iteration; the guard sees the residual max|b| and refuses
+    # |b| = 1e308: CG solves, but A x overflows in the residual, which reads
+    # nan; the guard refuses a residual that is not finite
     problem = LinearProblem(make_fractional_kernel(1, 0.5),
-                            GridSpec(dim=1, h=1 / 16, radius=1.0), 1e200, zero_rule())
-    with np.errstate(over="ignore"):
+                            GridSpec(dim=1, h=1 / 16, radius=1.0), 1e308, zero_rule())
+    with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverError, match="ill-conditioned interior system") as err:
             solve_linear_dirichlet(problem)
     assert set(err.value.diagnostics) == {"condition_estimate"}
+
+
+@pytest.mark.parametrize("c", [1e154, 1e200, 1e300])
+def test_large_rhs_solves_as_the_unit_rhs(c):
+    # CG runs each column scaled by a power of two, so n max|b|^2 past the
+    # float range does not overflow its squared norms
+    kernel, grid = make_fractional_kernel(1, 0.5), GridSpec(dim=1, h=1 / 16, radius=1.0)
+    unit, unit_report = solve_linear_dirichlet(LinearProblem(kernel, grid, 1.0, zero_rule()))
+    u, report = solve_linear_dirichlet(LinearProblem(kernel, grid, c, zero_rule()))
+    assert report.iterations == unit_report.iterations
+    scale = c * np.max(np.abs(unit.values))
+    assert np.max(np.abs(u.values - c * unit.values)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("command", ["solve-harmonic", "solve-gl"])
@@ -103,3 +120,34 @@ def test_negative_budget_through_the_cli(tmp_path, capsys, command):
     assert main(["--config", str(tmp_path / "cfg.json")]) == 2
     assert "step budget must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("dim, exterior, rhs, status", [
+    (1, "zero", 1e154, 0),
+    (1, "zero", 1e200, 0),
+    (2, "zero", 1e300, 0),
+    (1, "zero", 1e308, 3),
+    (1, "constant:[1e308]", 1.0, 3),
+], ids=["1d-1e154", "1d-1e200", "2d-1e300", "1d-1e308", "1d-exterior-1e308"])
+def test_overflow_through_the_cli(tmp_path, dim, exterior, rhs, status):
+    # a real process, as pytest turns numpy's RuntimeWarnings into errors: an
+    # overflow is a solver error (exit 3, error.json) whose stderr names no
+    # file, and a run that exits 0 writes only finite numbers
+    cfg = {"command": "solve-linear", "kernel": {"s": 0.5},
+           "grid": {"dim": dim, "h": 1 / 16, "radius": 1.0},
+           "exterior": exterior, "solver": {"rhs": rhs}, "output_dir": "out"}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    src = str(Path(fracsys.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "fracsys.cli", "--config", "cfg.json"],
+                         cwd=tmp_path, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == status, run.stderr
+    if status == 0:
+        assert run.stderr == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert np.isfinite(report["final_residual"]) and np.isfinite(report["error_bound"])
+        assert all(v not in ("nan", "inf", "-inf") for v in report.values())
+    else:
+        assert run.stderr.startswith("solver error: overflow encountered in ")
+        assert run.stderr.count("\n") == 1 and os.sep not in run.stderr
+        assert (tmp_path / "out" / "error.json").exists()

@@ -14,10 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracsys import (GridSpec, LinearProblem, SolverError, callback_rule,
+from fracsys import (GridSpec, LinearProblem, SampledField, SolverError, callback_rule,
                      constant_rule, make_anisotropic_kernel, make_custom_kernel,
                      make_fractional_kernel, solve_linear_dirichlet, zero_rule)
-from fracsys.operators import assemble_dirichlet
+from fracsys.operators import _cg, assemble_dirichlet
 from fracsys.quadrature import scheme_for
 
 GRIDS = {1: GridSpec(dim=1, h=1 / 32, radius=1.0), 2: GridSpec(dim=2, h=1 / 8, radius=1.0)}
@@ -68,9 +68,38 @@ def test_solve_matches_dense(kernel_name, rule_name, m):
     op = operator(kernel_name, rule_name, m)
     b = op.load + np.random.default_rng(6).normal(size=op.load.shape)
     ref = np.linalg.solve(op.A, b)
-    x = op.solve(b)
+    x, iterations = op.solve(b)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert 0 < op.solve_iterations[-1] <= b.shape[0]
+    assert 0 < iterations <= b.shape[0]
+
+
+def held_state(op):
+    """Each attribute of op, with a copy of what a call could change in place:
+    array entries (a field's values) and list items."""
+    state = {}
+    for name, value in vars(op).items():
+        held = value.values if isinstance(value, SampledField) else value
+        state[name] = (value, np.array(held, copy=True)
+                       if isinstance(held, (np.ndarray, list)) else None)
+    return state
+
+
+@pytest.mark.parametrize("method", ["solve", "inverse_norm_bound", "matvec",
+                                    "precondition", "apply_neg_lk", "field"])
+def test_operator_is_a_value(method):
+    # no method writes to the operator, and solve is _cg's result
+    op = operator("2d-frac", "callback", 2)
+    b = op.load + np.random.default_rng(8).normal(size=op.load.shape)
+    before = held_state(op)
+    result = getattr(op, method)(*(() if method == "inverse_norm_bound" else (b,)))
+    after = held_state(op)
+    assert after.keys() == before.keys()
+    for name, (value, held) in before.items():
+        assert after[name][0] is value, name
+        assert held is None or np.array_equal(after[name][1], held), name
+    if method == "solve":
+        x, iterations = _cg(op.matvec, op.precondition, b, op.condition_estimate)
+        assert np.array_equal(result[0], x) and result[1] == iterations
 
 
 @pytest.mark.parametrize("kernel_name", list(KERNELS))
