@@ -109,10 +109,7 @@ class GridSpec:
         """Nodes strictly inside the interior ball (Euclidean); all on the torus."""
         if self.periodic:
             return np.ones(self.shape, dtype=bool)
-        # x*x + y*y as in np.sum over points(), without building the points
-        r2 = sum(x * x for x in np.meshgrid(*([self.axis()] * self.dim), indexing="ij",
-                                            sparse=True))
-        return np.sqrt(r2) < self.radius - 1e-12
+        return _node_distance(self, np.zeros(self.dim)) < self.radius - 1e-12
 
     def index_of(self, x) -> tuple:
         """Grid index of the node at coordinate x; DomainError off-node or
@@ -359,15 +356,32 @@ def constant_field(grid: GridSpec, vec, exterior=None) -> SampledField:
 # -- geometric primitives ----------------------------------------------------
 
 
+def _node_distance(grid: GridSpec, c: np.ndarray) -> np.ndarray:
+    """|x - c| at every node for a centre c (dim,): the squares summed axis by
+    axis as np.linalg.norm sums them, on a sparse meshgrid, not the points."""
+    axes = np.meshgrid(*([grid.axis()] * grid.dim), indexing="ij", sparse=True)
+    return np.sqrt(sum(np.square(x - ci) for x, ci in zip(axes, c)))
+
+
+def _exterior_sample(rule: ExteriorRule, grid: GridSpec, m: int) -> np.ndarray:
+    """The rule's values (128, m) at seeded points at radii R to 10 R."""
+    rng = np.random.default_rng(7)
+    dirs = rng.normal(size=(128, grid.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = grid.radius * (1.0 + 9.0 * rng.random((128, 1)))
+    return rule.values(radii * dirs, m)
+
+
 def _ball_node_values(u: SampledField, center, radius):
-    pts = u.grid.points().reshape(-1, u.grid.dim)
     c = np.atleast_1d(np.asarray(center, dtype=float))
+    if c.shape != (u.grid.dim,):
+        raise DomainError(f"ball centre {c} needs {u.grid.dim} coordinates")
     if np.linalg.norm(c) + radius > u.grid.extent + 1e-12:
         raise DomainError("ball exceeds the stored-node region")
-    mask = np.linalg.norm(pts - c, axis=1) <= radius + 1e-12
+    mask = _node_distance(u.grid, c) <= radius + 1e-12
     if not np.any(mask):
         raise DomainError("ball contains no grid nodes")
-    return np.asarray(u.values).reshape(-1, u.m)[mask]
+    return np.asarray(u.values)[mask]
 
 
 def field_average(u: SampledField, ball) -> np.ndarray:

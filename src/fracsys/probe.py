@@ -4,7 +4,7 @@ image ball, dyadic oscillation-decay ledgers with Holder-exponent extraction,
 the scaling bookkeeping of the growth constants, and the barrier bound.
 
 These are measurement tools, not proofs: they extract sharp observed
-constants (by bisection or least squares) from sampled fields and check the
+constants (in closed form or by least squares) from sampled fields and check the
 inequalities the theory predicts, reporting margins and slack instead of
 asserting.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .enclosing import smallest_enclosing_ball
-from .fields import GridSpec, SampledField, _ball_node_values, zero_rule
+from .fields import GridSpec, SampledField, _ball_node_values, _exterior_sample, zero_rule
 from .kernels import KernelSpec, make_fractional_kernel
 from .operators import apply_LK_field, assemble_dirichlet
 from .quadrature import scheme_for
@@ -124,12 +124,7 @@ def harnack_probe(h: SampledField, kernel: KernelSpec, ball) -> HarnackReport:
         idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
         raise DomainError(f"field is negative at node {idx}")
     if not h.grid.periodic:
-        rng = np.random.default_rng(11)
-        dirs = rng.normal(size=(128, h.grid.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = h.grid.extent * (1.0 + 4.0 * rng.random((128, 1)))
-        g = h.exterior.values(radii * dirs, 1)
-        if float(np.min(g)) < -1e-12 * max(hmax, 1.0):
+        if float(np.min(_exterior_sample(h.exterior, h.grid, 1))) < -1e-12 * max(hmax, 1.0):
             raise DomainError("exterior rule takes negative values")
     lvals, _ = apply_LK_field(h, kernel)
     mask = h.grid.interior_mask()
@@ -193,11 +188,14 @@ def supersolution_family(grid: GridSpec, g, m: int = 2):
 def contraction_step(u: SampledField, bounds: GrowthBounds, ball) -> dict:
     """Sharpest one-step contraction of the image ball.
 
-    Finds the largest delta in [0, 1] such that every sampled value of u on
-    the ball lies in the shrunken shifted ball B_{M(1-delta)}(delta u_bar),
-    by bisection on the containment predicate (the predicate is monotone
-    because M >= |u_bar|).  delta_observed = 0 means no contraction could be
-    certified; the equality case |u| = M = const is flagged as boundary.
+    The largest delta in [0, 1] with every sampled value V_i of u on the ball
+    in B_{M(1-delta)}(delta u_bar) up to atol, in closed form: squared, the
+    containment reads a delta^2 + 2 b_i delta + c_i <= 0 with
+    a = |u_bar|^2 - M^2, b_i = (M + atol) M - V_i . u_bar and
+    c_i = |V_i|^2 - (M + atol)^2 <= 0, so delta is at most
+    -c_i / (b_i + sqrt(b_i^2 - a c_i)) where that denominator is positive.
+    delta_observed = 0 (below 1e-9) means no contraction could be certified;
+    the equality case |u| = M = const is flagged as boundary.
     """
     if bounds.l >= 1.0:
         raise DomainError(f"contraction requires l < 1, got l={bounds.l}")
@@ -208,27 +206,20 @@ def contraction_step(u: SampledField, bounds: GrowthBounds, ball) -> dict:
     if vmax > M + atol:
         raise DomainError(f"pointwise bound violated: |u| reaches {vmax} > M={M}")
     ubar = V.mean(axis=0)
-
-    def excess(delta):
-        return float(np.max(np.linalg.norm(V - delta * ubar, axis=1))) - M * (1.0 - delta)
-
-    boundary = abs(excess(0.0)) <= atol and abs(excess(1.0)) <= atol
-    if boundary:
-        return {"delta_observed": 1.0, "new_center": ubar.copy(),
-                "contained": True, "boundary_case": True}
-    if excess(1.0) <= atol:
-        delta = 1.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if excess(mid) <= atol:
-                lo = mid
-            else:
-                hi = mid
-        delta = lo if lo > 1e-9 else 0.0  # below rounding scale: no contraction
+    # with W = V - u_bar, e_i = atol M - W_i . u_bar and q_i = |W_i|^2 - atol^2:
+    # b_i = e_i - a, c_i = a + q_i - 2 e_i and b_i^2 - a c_i = e_i^2 - a q_i,
+    # which cancel nothing where the values crowd at u_bar and delta is 1
+    W = V - ubar
+    e = atol * M - W @ ubar
+    q = np.sum(W * W, axis=1) - atol * atol
+    a = float(ubar @ ubar) - M * M
+    den = e - a + np.sqrt(np.maximum(e * e - a * q, 0.0))
+    roots = np.divide(2.0 * e - a - q, den, out=np.full_like(den, np.inf), where=den > 0.0)
+    delta = min(1.0, float(np.min(roots)))
+    delta = delta if delta > 1e-9 else 0.0
+    boundary = delta == 1.0 and abs(float(np.linalg.norm(ubar)) - M) <= atol
     return {"delta_observed": delta, "new_center": delta * ubar,
-            "contained": bool(delta > 0.0), "boundary_case": False}
+            "contained": bool(delta > 0.0), "boundary_case": boundary}
 
 
 @dataclass(frozen=True)
@@ -275,7 +266,6 @@ def dyadic_ledger(u: SampledField, x0, levels: int, bounds: GrowthBounds,
     if not np.all(resolvable):
         raise DomainError(
             f"level {int(np.argmin(resolvable))} needs a finer grid (h={h})")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     values = [_ball_node_values(u, x0, r) for r in radii_x]
     balls = [smallest_enclosing_ball(v) for v in values]
     centers = np.array([c for c, _ in balls])

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .fields import ExteriorRule, GridSpec, SampledField, zero_rule
+from .fields import ExteriorRule, GridSpec, SampledField, _exterior_sample, zero_rule
 from .kernels import KernelSpec, make_fractional_kernel
 from .operators import (AssembledOperator, _cg, apply_fractional_laplacian_field,
                         assemble_dirichlet, bilinear_form_field, s_energy)
@@ -146,11 +146,7 @@ def default_flow_step(kernel: KernelSpec, grid: GridSpec) -> float:
 
 
 def _check_unit_exterior(rule: ExteriorRule, grid: GridSpec, m: int):
-    rng = np.random.default_rng(7)
-    radii = grid.radius * (1.0 + 3.0 * rng.random((64, 1)))
-    dirs = rng.normal(size=(64, grid.dim))
-    g = rule.values(radii * (dirs / np.linalg.norm(dirs, axis=1, keepdims=True)), m)
-    mag = np.sqrt(np.sum(g * g, axis=-1))
+    mag = np.linalg.norm(_exterior_sample(rule, grid, m), axis=-1)
     if np.max(np.abs(mag - 1.0)) > 1e-8:
         raise DomainError("exterior data must be unit length")
 
@@ -355,17 +351,19 @@ def ginzburg_landau_solve(cfg: GLConfig, g: ExteriorRule, grid: GridSpec,
                         gradient, advance, penalty, None)
 
 
+def _el_residual(u: SampledField, s: float) -> np.ndarray:
+    """(-Delta)^s u - u B(u, u) at every node, shape (*grid.shape, m)."""
+    lap, _ = apply_fractional_laplacian_field(u, s)
+    bvals, _ = bilinear_form_field(u, u, make_fractional_kernel(u.grid.dim, s))
+    return lap - np.asarray(u.values) * bvals[..., None]
+
+
 def euler_lagrange_residual(u: SampledField, s: float) -> SampledField:
     """Residual field |(-Delta)^s u - u B(u, u)| (vector norm per node) for a
     unit-modulus field; the modulus is checked to 1e-8 on interior nodes."""
-    mask = u.grid.interior_mask()
-    mod = u.magnitude()
-    worst = float(np.max(np.abs(mod[mask] - 1.0)))
+    worst = float(np.max(np.abs(u.magnitude()[u.grid.interior_mask()] - 1.0)))
     if worst > 1e-8:
         raise DomainError(f"field modulus deviates from 1 by {worst:.2e}")
-    lap, _ = apply_fractional_laplacian_field(u, s)
-    kernel = make_fractional_kernel(u.grid.dim, s)
-    bvals, _ = bilinear_form_field(u, u, kernel)
-    resid = np.linalg.norm(lap - np.asarray(u.values) * bvals[..., None], axis=-1)
+    resid = np.linalg.norm(_el_residual(u, s), axis=-1)
     return SampledField(u.grid, resid[..., None],
                         u.exterior if u.grid.periodic else zero_rule(), None)
