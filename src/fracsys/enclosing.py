@@ -90,6 +90,10 @@ def smallest_enclosing_ball(points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise DomainError("empty point set")
+    # run on the points scaled by the power of two 2^-k that brings max|p|
+    # into [1/2, 1), which is exact: squared distances cannot over- or underflow
+    k = int(np.frexp(np.max(np.abs(pts)))[1])
+    pts = np.ldexp(pts, -k)
     if pts.shape[1] <= EXACT_DIM_LIMIT:
         # deduplicate: Welzl degenerates on heavy duplication
         uniq = np.unique(pts, axis=0)
@@ -99,4 +103,4 @@ def smallest_enclosing_ball(points):
         center, radius = _ritter(pts)
     # tighten radius to the actual farthest point
     radius = max(radius, float(np.max(np.linalg.norm(pts - center, axis=1))))
-    return center, radius
+    return np.ldexp(center, k), float(np.ldexp(radius, k))

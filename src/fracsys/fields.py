@@ -276,6 +276,8 @@ class SampledField:
             )
         if vals.ndim == self.grid.dim:
             vals = vals[..., None]
+        if vals.shape[-1] == 0:
+            raise DomainError("a field needs at least one component")
         if not np.all(np.isfinite(vals)):
             raise DomainError("field values must be finite")
         vals = vals.copy()

@@ -257,6 +257,7 @@ def dyadic_ledger(u: SampledField, x0, levels: int, bounds: GrowthBounds,
     smallest ball must cover a few grid nodes.  The balls are exact for
     fields with m <= 3 components; above that they come from Ritter's
     heuristic (see smallest_enclosing_ball) and each M_k is an upper bound.
+    A field with every M_k = 0 is refused: it has no decay to fit.
     """
     h = u.grid.h
     radii_x = 0.5 ** np.arange(levels + 1)
@@ -270,7 +271,10 @@ def dyadic_ledger(u: SampledField, x0, levels: int, bounds: GrowthBounds,
     balls = [smallest_enclosing_ball(v) for v in values]
     centers = np.array([c for c, _ in balls])
     Mk = np.array([r for _, r in balls])
-    scale = max(float(Mk.max()), 1e-300)
+    scale = float(Mk.max())
+    if scale == 0.0:
+        raise DomainError("every M_k is 0: the field is constant on the dyadic balls, "
+                          "so there is no oscillation decay to fit")
     k_fit = np.arange(1, levels + 1)
     y = np.log(np.maximum(Mk[1:], 1e-30 * scale))
     slope = float(np.polyfit(k_fit, y, 1)[0]) if levels >= 2 else 0.0

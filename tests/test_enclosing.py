@@ -232,3 +232,28 @@ class TestMatchesPerPointOracle:
             oc, orad = oracle_ball(vals)
             assert np.array_equal(led.centers[k], oc)
             assert led.radii[k] == orad
+
+
+class TestPowerOfTwoScaling:
+    """The ball is found on the points scaled by the power of two that brings
+    max |p| into [1/2, 1), so squared distances neither over- nor underflow."""
+
+    @pytest.mark.parametrize("k", [600, -600])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_scaled_cloud_gives_the_scaled_ball(self, k, m):
+        pts = np.random.default_rng(m).normal(size=(50, m))
+        c, r = smallest_enclosing_ball(pts)
+        ck, rk = smallest_enclosing_ball(np.ldexp(pts, k))
+        assert np.array_equal(ck, np.ldexp(c, k))
+        assert rk == np.ldexp(r, k)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e-160, 1e-300])
+    def test_decimal_scales_cover_and_match(self, scale):
+        pts = np.random.default_rng(0).normal(size=(50, 2))
+        _, r = smallest_enclosing_ball(pts)
+        c, rs = smallest_enclosing_ball(pts * scale)
+        # compare in the scaled coordinates, where the norms are finite
+        k = int(np.frexp(scale)[1])
+        q, cq, rq = np.ldexp(pts * scale, -k), np.ldexp(c, -k), np.ldexp(rs, -k)
+        assert np.max(np.linalg.norm(q - cq, axis=1)) <= rq * _EPS
+        assert rq == pytest.approx(np.ldexp(r * scale, -k), rel=1e-12)
